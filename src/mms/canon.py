@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .geometry import Point, SimplicialSet
+from .geometry import SimplicialSet, _det_and_adjugate
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -84,29 +84,13 @@ def hnf(m: Matrix) -> Matrix:
 
 
 def matrix_determinant(m: Matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Gauss
-    with final division, Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
+    """Exact determinant of a square integer matrix (0 when singular)."""
+    if any(len(row) != len(m) for row in m):
         raise ValueError("determinant requires a square matrix")
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    try:
+        return _det_and_adjugate(m)[0]
+    except ValueError:  # singular
+        return 0
 
 
 def serialize_matrix(m: Matrix) -> str:

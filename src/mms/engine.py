@@ -1,10 +1,27 @@
 """Maximal mediated sets: fixed-point and removal algorithms, classification,
 h-ratio.
 
-Both algorithms return the same set (the unique maximal mediated superset of
-the simplex vertices inside its convex hull); the fixed-point form iterates
-a shrinking closure from all lattice points, the removal form works only on
-the even sublist and is the one used at scale.
+Both algorithms return the same set, the maximal mediated set of the simplex
+(Reznick 1989): the unique largest set between the vertices and the lattice
+points of the hull in which every non-vertex member is the midpoint of two
+distinct even members.  The fixed-point form iterates a shrinking closure
+from all lattice points of the hull and is kept as the plain-Python oracle.
+The removal form, used at scale, is an array kernel on the even points only:
+
+- An even hull point is 2q for an integral point q of the half-scaled
+  simplex, and 2q is the midpoint of 2a and 2b iff 2q = a + b.  Each q is
+  shifted by the per-coordinate minimum and encoded as one int64 with
+  per-coordinate radix ``2 * span + 1``, so ``code(a) + code(b)`` is the
+  code of ``a + b`` with no carries and code order is lex order.
+- Removal runs in rounds.  Each round deletes every non-vertex point whose
+  doubled code is not the sum of two distinct alive codes; the rounds stop
+  when one deletes nothing.
+- The closure is the sorted set of the doubled codes and the pair sums of
+  the survivors, decoded back to points (the midpoint of 2a and 2b is
+  a + b), which come out lex-sorted.
+
+Each round holds the k(k-1)/2 int64 pair sums of its k alive points, built
+from a transient k-by-k outer sum.
 """
 from __future__ import annotations
 
@@ -12,12 +29,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import prod
+
+import numpy as np
 
 from .geometry import (
+    _INT64_SAFE,
     Point,
     SimplicialSet,
-    even_lattice_points,
+    _half_vertices,
+    _integral_points,
     lattice_points,
     midpoint_set,
 )
@@ -76,48 +97,60 @@ def mms_fixed_point(delta: SimplicialSet) -> set[Point]:
 
 
 def mms_removal(delta: SimplicialSet) -> set[Point]:
-    """Tail-scan removal over the lex-ordered even points of the hull.
+    """The maximal mediated set by batch removal over the even hull points.
 
-    Scans from the tail toward the head; any even point that is neither a
-    vertex nor a midpoint of two list members is removed, and the scan
-    restarts from the tail.  The head never needs testing: the lex-minimal
-    even point of the hull is a vertex.  Returns the surviving even list
-    together with all its midpoints.
+    Starting from every even point of the hull, each round deletes at once
+    all non-vertex points that are not the midpoint of two distinct alive
+    points, until a round deletes nothing; the survivors and all their
+    midpoints are returned.  This is the set the one-at-a-time removal and
+    the fixed-point iteration give: the maximal mediated set's even part is
+    the unique greatest set fixed by the round, and a point with no witness
+    pair in L has none in any subset of L, so no round deletes a point of it.
+    Each round holds k(k-1)/2 int64 pair sums for its k alive points.
     """
-    base = set(delta.points)
-    L: list[Point] = even_lattice_points(delta)
-    i = len(L) - 1
-    while i > 0:
-        p = L[i]
-        if p in base or _has_midpoint_pair(L, p):
-            i -= 1
-        else:
-            del L[i]
-            i = len(L) - 1
-    return set(L) | midpoint_set(L)
+    return set(map(tuple, _mms_array(delta).tolist()))
 
 
-def _has_midpoint_pair(L: Sequence[Point], p: Point) -> bool:
-    # two-pointer scan; valid because lex order is compatible with addition
-    lo = 0
-    hi = len(L) - 1
-    target = tuple(2 * c for c in p)
-    while lo < hi:
-        a = L[lo]
-        b = L[hi]
-        cmp = 0
-        for x, y, t in zip(a, b, target):
-            s = x + y
-            if s != t:
-                cmp = -1 if s < t else 1
-                break
-        if cmp == 0:
-            return True
-        if cmp < 0:
-            lo += 1
-        else:
-            hi -= 1
-    return False
+def _mms_array(delta: SimplicialSet) -> np.ndarray:
+    """The maximal mediated set of ``delta`` as a lex-sorted int64 array
+    (see the module docstring for the codes, rounds and closure)."""
+    half = _half_vertices(delta)
+    q = _integral_points(half)
+    lo = q.min(axis=0)
+    radix = (2 * (q.max(axis=0) - lo) + 1).tolist()
+    if prod(radix) >= _INT64_SAFE:
+        raise ValueError(
+            f"hull too wide for int64 point codes: radix product {prod(radix)} "
+            f"is not below {_INT64_SAFE}"
+        )
+    weights = np.array([prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
+    codes = (q - lo) @ weights
+    fixed = np.zeros(len(codes), dtype=bool)
+    fixed[np.searchsorted(codes, (np.array(half, dtype=np.int64) - lo) @ weights)] = True
+    while True:
+        sums = _pair_sums(codes)
+        loose = ~fixed
+        targets = 2 * codes[loose]
+        found = sums[np.searchsorted(sums, targets).clip(max=len(sums) - 1)] == targets
+        if found.all():
+            break
+        keep = fixed.copy()
+        keep[loose] = found
+        codes, fixed = codes[keep], fixed[keep]
+    # both parts are sorted, so a stable (run-merging) sort is near linear;
+    # np.unique hashes first and measured ten times slower at these sizes
+    closure = np.concatenate((2 * codes, sums))
+    closure.sort(kind="stable")
+    closure = closure[np.concatenate(([True], closure[1:] != closure[:-1]))]
+    return closure[:, None] // weights % np.array(radix, dtype=np.int64) + 2 * lo
+
+
+def _pair_sums(codes: np.ndarray) -> np.ndarray:
+    """Sorted ``codes[i] + codes[j]`` over all pairs i > j."""
+    k = len(codes)
+    sums = np.add.outer(codes, codes)[np.tri(k, k, -1, dtype=bool)]
+    sums.sort()
+    return sums
 
 
 @dataclass(frozen=True)
@@ -195,16 +228,14 @@ def compute_mms(delta: SimplicialSet, method: str = "removal") -> MmsResult:
     "fixed-point" the literal closure iteration).
     """
     if method == "removal":
-        mms = mms_removal(delta)
+        mms_points = tuple(map(tuple, _mms_array(delta).tolist()))
     elif method == "fixed-point":
-        mms = mms_fixed_point(delta)
+        mms_points = tuple(sorted(mms_fixed_point(delta)))
     else:
         raise ValueError(f"unknown method {method!r}")
-    conv_count = len(lattice_points(delta))
-    floor_count = len(floor_set(delta))
     return MmsResult(
         delta=delta,
-        mms_points=tuple(sorted(mms)),
-        conv_count=conv_count,
-        floor_count=floor_count,
+        mms_points=mms_points,
+        conv_count=len(_integral_points(delta.points)),
+        floor_count=len(floor_set(delta)),
     )

@@ -1,18 +1,21 @@
 """Exact integer and rational geometry for even lattice simplices.
 
-Points are plain tuples of ints.  Everything here is exact: containment is
-decided with integer or Fraction arithmetic, never floats.  A numpy fast path
-is used for bulk containment scans but only when a conservative bound shows
-int64 cannot overflow; otherwise the same formula runs on Python ints.
+Points are plain tuples of ints; hull scans return lex-sorted int64 arrays.
+Everything here is exact, never floats.  The hull scan tests candidates
+against the integer adjugate of the edge matrix, which a fraction-free
+elimination computes; Fraction arithmetic remains only in
+``barycentric_coordinates`` (the per-point test used for lower-dimensional
+simplices).  A numpy fast path is used for bulk containment scans but only
+when a conservative bound shows int64 cannot overflow; otherwise the same
+formula runs on Python ints.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -245,9 +248,10 @@ def _nonneg_ball(n: int, deg: int) -> np.ndarray:
 
 
 def _box_grid(mins: Sequence[int], maxs: Sequence[int]) -> np.ndarray:
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(mins, maxs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
+    """Every integral point of the box [mins, maxs], lex-sorted."""
+    shape = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
+    grid = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
+    return grid + np.array(mins, dtype=np.int64)
 
 
 def _candidate_array(verts: Sequence[Point]) -> np.ndarray:
@@ -273,42 +277,42 @@ def _candidate_array(verts: Sequence[Point]) -> np.ndarray:
     return grid[keep]
 
 
-def _det_and_adjugate(mat: list[list[int]]) -> tuple[int, list[list[int]]]:
-    """Exact determinant and adjugate of a nonsingular integer matrix,
-    via a Fraction Gauss-Jordan inverse (adj = det * inverse)."""
+def _det_and_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """Exact determinant and adjugate of a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on ``[M | I]``: step k turns
+    every other row into ``(p_k * row - a_ik * pivot_row) / p_(k-1)``, where
+    p_k is the k-th pivot and p_(-1) = 1.  Every entry stays a minor of the
+    augmented matrix, so each division is exact.  At the end the left block
+    is ``p * I`` and the right block is ``p * M^-1``, with p the last pivot,
+    which is det(M) up to the sign of the row swaps.  Raises ValueError when
+    M is singular.
+    """
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
         if piv is None:
             raise ValueError("singular matrix")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        prow = aug[col]
-        det *= prow[col]
-        inv = 1 / prow[col]
-        aug[col] = prow = [x * inv for x in prow]
+        if piv != k:
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        prow = aug[k]
+        p = prow[k]
         for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
-    d = int(det)
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = det * aug[i][n + j]
-            assert e.denominator == 1
-            row.append(int(e))
-        adj.append(row)
-    return d, adj
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], prow)]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
 
 
-def _integral_points(verts: tuple[Point, ...]) -> list[Point]:
-    """conv(verts) cap Z^n, lex-sorted.  ``verts`` must be affinely
-    independent (need not be even: internal callers pass halved vertices)."""
+def _integral_points(verts: tuple[Point, ...]) -> np.ndarray:
+    """conv(verts) cap Z^n as a lex-sorted int64 array of shape (m, n).
+    ``verts`` must be affinely independent (need not be even: internal
+    callers pass halved vertices)."""
     n = len(verts[0])
     k = len(verts) - 1
     if k == n:
@@ -316,15 +320,11 @@ def _integral_points(verts: tuple[Point, ...]) -> list[Point]:
     # lower-dimensional simplex: exact per-candidate solve
     cands = _candidate_array(verts)
     delta = SimplicialSet(tuple(sorted(verts)))
-    out = []
-    for row in cands.tolist():
-        p = tuple(row)
-        if contains(delta, p):
-            out.append(p)
-    return out
+    keep = [contains(delta, tuple(row)) for row in cands.tolist()]
+    return cands[np.array(keep, dtype=bool)]
 
 
-def _full_dim_points(verts: tuple[Point, ...]) -> list[Point]:
+def _full_dim_points(verts: tuple[Point, ...]) -> np.ndarray:
     n = len(verts[0])
     base = verts[0]
     cols = [tuple(v[i] - base[i] for i in range(n)) for v in verts[1:]]
@@ -337,22 +337,25 @@ def _full_dim_points(verts: tuple[Point, ...]) -> list[Point]:
     shifted = cands - np.array(base, dtype=np.int64)
     max_adj = max(abs(e) for row in adj for e in row)
     max_c = int(np.abs(shifted).max()) if len(shifted) else 0
-    if max_adj * max_c * n < _INT64_SAFE:
+    # |y_j| <= n * max_adj * max_c, and their row sum is up to n times that
+    if max_adj * max_c * n * n < _INT64_SAFE:
         y = shifted @ np.array(adj, dtype=np.int64).T
-        mask = (y >= 0).all(axis=1) & (y.sum(axis=1) <= det)
-        return [tuple(row) for row in cands[mask].tolist()]
-    out = []
-    for row in cands.tolist():
-        sh = [a - b for a, b in zip(row, base)]
+        return cands[(y >= 0).all(axis=1) & (y.sum(axis=1) <= det)]
+    keep = []
+    for sh in shifted.tolist():
         y = [sum(adj[j][i] * sh[i] for i in range(n)) for j in range(n)]
-        if all(v >= 0 for v in y) and sum(y) <= det:
-            out.append(tuple(row))
-    return out
+        keep.append(all(v >= 0 for v in y) and sum(y) <= det)
+    return cands[np.array(keep, dtype=bool)]
 
 
 def lattice_points(delta: SimplicialSet) -> set[Point]:
     """All integral points of conv(delta)."""
-    return set(_integral_points(delta.points))
+    return set(map(tuple, _integral_points(delta.points).tolist()))
+
+
+def _half_vertices(delta: SimplicialSet) -> tuple[Point, ...]:
+    """The vertices of ``delta`` halved (exact: they are even)."""
+    return tuple(tuple(c // 2 for c in p) for p in delta.points)
 
 
 def even_lattice_points(delta: SimplicialSet) -> list[Point]:
@@ -361,11 +364,5 @@ def even_lattice_points(delta: SimplicialSet) -> list[Point]:
     p is even and in conv(delta) iff p/2 lies in the half-scaled simplex, so
     the scan runs over the (much smaller) half simplex.
     """
-    half = tuple(tuple(c // 2 for c in p) for p in delta.points)
-    return [tuple(2 * c for c in q) for q in _integral_points(half)]
+    return list(map(tuple, (2 * _integral_points(_half_vertices(delta))).tolist()))
 
-
-def iter_even_products(lo: Sequence[int], hi: Sequence[int]) -> Iterator[Point]:
-    """Even points of the integer box [lo, hi] (test helper)."""
-    ranges = [range(l + (l % 2 != 0), h + 1, 2) for l, h in zip(lo, hi)]
-    yield from itertools.product(*ranges)

@@ -58,8 +58,18 @@ class RunManifest:
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
+        """Load a manifest; ValueError names any unknown or missing field."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: manifest must be a JSON object")
+        fields = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(payload.keys() - fields)
+        missing = sorted(fields - payload.keys())
+        if unknown or missing:
+            raise ValueError(
+                f"{path}: bad manifest: unknown fields {unknown}, missing fields {missing}"
+            )
         return cls(**payload)
 
 

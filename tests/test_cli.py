@@ -204,6 +204,23 @@ def test_pipeline_replay_flag(cli_run_dir, capsys, tmp_path):
             assert a.read() == b.read()
 
 
+def test_pipeline_replay_rejects_bad_manifest_fields(cli_run_dir, capsys, tmp_path):
+    with open(os.path.join(cli_run_dir, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["bogus"] = 1
+    del manifest["seed"]
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(manifest), encoding="utf-8")
+    code, _, err = run_main(
+        capsys, "pipeline", "--replay", str(bad), "--out", str(tmp_path / "replayed")
+    )
+    assert code == EXIT_INVALID
+    assert err.count("\n") == 1
+    assert err.startswith("mms: error:")
+    assert "unknown fields ['bogus']" in err
+    assert "missing fields ['seed']" in err
+
+
 def test_stats_cli_scopes(cli_run_dir, capsys):
     store = os.path.join(cli_run_dir, "merged.jsonl")
     code, out, _ = run_main(capsys, "stats", "--store", store, "--scope", "both")

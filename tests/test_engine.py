@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from mms import engine
 from mms.engine import (
     Classification,
     HRatio,
@@ -169,3 +171,31 @@ def test_classification_matches_counts(delta):
         assert result.mms_size == result.floor_count < result.conv_count
     else:
         assert result.floor_count < result.mms_size < result.conv_count
+
+
+@given(small_simplices(degrees=(2, 4, 6, 8, 10)), st.data())
+def test_compute_mms_matches_fixed_point_oracle(delta, data):
+    # negative even offsets move the per-coordinate shift of the point codes
+    offset = tuple(2 * data.draw(st.integers(-4, 0)) for _ in range(delta.ambient_dim))
+    delta = delta.translated(offset)
+    result = compute_mms(delta)
+    assert set(result.mms_points) == mms_fixed_point(delta)
+    assert result.conv_count == len(lattice_points(delta))
+    assert result.floor_count == len(floor_set(delta))
+    pts = result.mms_points
+    assert all(a < b for a, b in zip(pts, pts[1:]))
+
+
+def test_mms_points_are_strictly_lex_increasing():
+    for delta in (MOTZKIN, HURWITZ2, CHOI_LAM, DIM4, TETRA):
+        pts = compute_mms(delta.translated((-2,) * delta.ambient_dim)).mms_points
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+
+
+def test_point_codes_refuse_int64_overflow(monkeypatch):
+    # HURWITZ2's half simplex has radices 5 x 5
+    monkeypatch.setattr(engine, "_INT64_SAFE", 25)
+    with pytest.raises(ValueError, match="not below 25"):
+        compute_mms(HURWITZ2)
+    monkeypatch.setattr(engine, "_INT64_SAFE", 26)
+    assert compute_mms(HURWITZ2).mms_size == 15

@@ -1,10 +1,14 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strategies import small_simplices
 
+from mms import geometry
 from mms.geometry import (
     SimplicialSet,
     affinely_independent,
@@ -19,6 +23,7 @@ from mms.geometry import (
     one_norm,
     parse_point,
     strictly_interior,
+    _det_and_adjugate,
     _integral_points,
     _nonneg_ball,
 )
@@ -144,7 +149,7 @@ def test_lattice_points_hurwitz_count():
 
 
 def test_lattice_points_lower_dimensional():
-    assert sorted(_integral_points(((0, 0), (2, 2)))) == [(0, 0), (1, 1), (2, 2)]
+    assert _integral_points(((0, 0), (2, 2))).tolist() == [[0, 0], [1, 1], [2, 2]]
 
 
 def test_even_lattice_points_motzkin():
@@ -188,3 +193,66 @@ def test_vertices_are_lattice_points(delta):
 def test_midpoints_of_vertices_are_contained(delta):
     for q in midpoint_set(delta.points):
         assert contains(delta, q)
+
+
+def _leibniz_det(m):
+    """Reference determinant: the permutation expansion."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def _square_matrices(max_n=6):
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+@given(_square_matrices())
+def test_det_and_adjugate_matches_definition(m):
+    n = len(m)
+    det = _leibniz_det(m)
+    if det == 0:
+        with pytest.raises(ValueError):
+            _det_and_adjugate(m)
+        return
+    d, adj = _det_and_adjugate(m)
+    assert d == det
+    identity = [[det * int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(adj[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == identity
+    assert [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == identity
+
+
+@given(_square_matrices(), st.integers(-3, 3), st.integers(-3, 3))
+def test_det_and_adjugate_rejects_singular(m, a, b):
+    # the last row becomes a combination of the others (a zero row when n = 1)
+    n = len(m)
+    m[-1] = [a * x + b * y for x, y in zip(m[0], m[max(n - 2, 0)])] if n > 1 else [0]
+    with pytest.raises(ValueError):
+        _det_and_adjugate(m)
+
+
+def test_det_and_adjugate_goldens():
+    assert _det_and_adjugate([[0, 2], [3, 1]]) == (-6, [[1, -2], [-3, 0]])
+    assert _det_and_adjugate([[5]]) == (5, [[1]])
+    assert _det_and_adjugate([]) == (1, [])
+
+
+@given(small_simplices(full_dim_only=True, degrees=(2, 4, 6, 8)), st.data())
+def test_full_dim_scan_python_branch_matches_numpy_branch(delta, data):
+    offset = tuple(2 * data.draw(st.integers(-3, 3)) for _ in range(delta.ambient_dim))
+    verts = delta.translated(offset).points
+    fast = _integral_points(verts)
+    with pytest.MonkeyPatch.context() as mp:
+        # no bound passes the int64 guard, so the Python-int loop runs
+        mp.setattr(geometry, "_INT64_SAFE", 0)
+        slow = _integral_points(verts)
+    assert slow.dtype == fast.dtype == np.int64
+    assert slow.tolist() == fast.tolist()
