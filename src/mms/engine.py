@@ -10,18 +10,20 @@ The removal form, used at scale, is an array kernel on the even points only:
 
 - An even hull point is 2q for an integral point q of the half-scaled
   simplex, and 2q is the midpoint of 2a and 2b iff 2q = a + b.  Each q is
-  shifted by the per-coordinate minimum and encoded as one int64 with
+  shifted by the per-coordinate minimum and encoded as one integer with
   per-coordinate radix ``2 * span + 1``, so ``code(a) + code(b)`` is the
-  code of ``a + b`` with no carries and code order is lex order.
-- Removal runs in rounds.  Each round deletes every non-vertex point whose
-  doubled code is not the sum of two distinct alive codes; the rounds stop
-  when one deletes nothing.
+  code of ``a + b`` with no carries and code order is lex order.  Codes are
+  int64 while the radix product is below 2^62 and Python ints (numpy object
+  arrays, same operations) beyond, as for a wide hull in high dimension.
+- Removal runs in rounds.  Each round deletes every non-vertex point c for
+  which no alive a other than c has its partner 2c - a alive; the rounds
+  stop when one deletes nothing.
 - The closure is the sorted set of the doubled codes and the pair sums of
   the survivors, decoded back to points (the midpoint of 2a and 2b is
   a + b), which come out lex-sorted.
 
-Each round holds the k(k-1)/2 int64 pair sums of its k alive points, built
-from a transient k-by-k outer sum.
+The partner test and the pair sums run in blocks of at most ``_BLOCK``
+entries, so beyond the k codes and the closure itself memory stays bounded.
 """
 from __future__ import annotations
 
@@ -39,9 +41,13 @@ from .geometry import (
     SimplicialSet,
     _half_vertices,
     _integral_points,
+    even_lattice_points,
     lattice_points,
     midpoint_set,
 )
+
+# entries per transient array of the partner test and the pair sums
+_BLOCK = 1 << 18
 
 
 class Classification(str, Enum):
@@ -106,51 +112,67 @@ def mms_removal(delta: SimplicialSet) -> set[Point]:
     the fixed-point iteration give: the maximal mediated set's even part is
     the unique greatest set fixed by the round, and a point with no witness
     pair in L has none in any subset of L, so no round deletes a point of it.
-    Each round holds k(k-1)/2 int64 pair sums for its k alive points.
+    Beyond the result, memory is O(k) for k even points plus blocks of at
+    most ``_BLOCK`` entries.
     """
-    return set(map(tuple, _mms_array(delta).tolist()))
+    q = np.array(even_lattice_points(delta), dtype=np.int64) // 2
+    half = np.array(_half_vertices(delta), dtype=np.int64)
+    return set(map(tuple, _removal_kernel(q, half).tolist()))
 
 
-def _mms_array(delta: SimplicialSet) -> np.ndarray:
-    """The maximal mediated set of ``delta`` as a lex-sorted int64 array
-    (see the module docstring for the codes, rounds and closure)."""
-    half = _half_vertices(delta)
-    q = _integral_points(half)
+def _removal_kernel(q: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """The removal on the halved even points ``q`` (lex-sorted) with halved
+    vertices ``half``; returns the maximal mediated set as a lex-sorted int64
+    array (see the module docstring for the codes, rounds and closure)."""
     lo = q.min(axis=0)
     radix = (2 * (q.max(axis=0) - lo) + 1).tolist()
-    if prod(radix) >= _INT64_SAFE:
-        raise ValueError(
-            f"hull too wide for int64 point codes: radix product {prod(radix)} "
-            f"is not below {_INT64_SAFE}"
-        )
-    weights = np.array([prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
-    codes = (q - lo) @ weights
+    dtype = np.int64 if prod(radix) < _INT64_SAFE else object
+    weights = np.array([prod(radix[i + 1 :]) for i in range(len(radix))], dtype=dtype)
+    codes = (q - lo).astype(dtype) @ weights
     fixed = np.zeros(len(codes), dtype=bool)
-    fixed[np.searchsorted(codes, (np.array(half, dtype=np.int64) - lo) @ weights)] = True
+    fixed[np.searchsorted(codes, (half - lo).astype(dtype) @ weights)] = True
     while True:
-        sums = _pair_sums(codes)
         loose = ~fixed
-        targets = 2 * codes[loose]
-        found = sums[np.searchsorted(sums, targets).clip(max=len(sums) - 1)] == targets
+        found = _witnessed(codes, codes[loose])
         if found.all():
             break
         keep = fixed.copy()
         keep[loose] = found
         codes, fixed = codes[keep], fixed[keep]
-    # both parts are sorted, so a stable (run-merging) sort is near linear;
-    # np.unique hashes first and measured ten times slower at these sizes
-    closure = np.concatenate((2 * codes, sums))
-    closure.sort(kind="stable")
-    closure = closure[np.concatenate(([True], closure[1:] != closure[:-1]))]
-    return closure[:, None] // weights % np.array(radix, dtype=np.int64) + 2 * lo
+    closure = _closure(codes)
+    points = closure[:, None] // weights % np.array(radix, dtype=dtype) + 2 * lo
+    return points.astype(np.int64, copy=False)
 
 
-def _pair_sums(codes: np.ndarray) -> np.ndarray:
-    """Sorted ``codes[i] + codes[j]`` over all pairs i > j."""
+def _witnessed(codes: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """For each c in ``mids``, whether 2c = a + b for distinct a, b in the
+    sorted ``codes`` (c itself among them), in blocks of ``_BLOCK`` entries."""
+    found = np.empty(len(mids), dtype=bool)
+    step = max(1, _BLOCK // len(codes))
+    top = len(codes) - 1
+    for s in range(0, len(mids), step):
+        c = mids[s : s + step, None]
+        partner = 2 * c - codes
+        hit = codes[np.searchsorted(codes, partner).clip(max=top)] == partner
+        # a = c always hits (its partner is c); any other hit is a witness
+        found[s : s + step] = hit.sum(axis=1) > 1
+    return found
+
+
+def _closure(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes of 2c and of a + b over distinct a, b in
+    ``codes``, with the pair sums built in row blocks of ``_BLOCK`` entries."""
     k = len(codes)
-    sums = np.add.outer(codes, codes)[np.tri(k, k, -1, dtype=bool)]
-    sums.sort()
-    return sums
+    out = 2 * codes
+    step = max(1, _BLOCK // k)
+    for s in range(1, k, step):
+        e = min(s + step, k)
+        sums = (codes[s:e, None] + codes[:e])[np.tri(e - s, e, s - 1, dtype=bool)]
+        out = np.concatenate((out, sums))
+        # np.unique hashes first and measured ten times slower at these sizes
+        out.sort(kind="stable")
+        out = out[np.concatenate(([True], out[1:] != out[:-1]))]
+    return out
 
 
 @dataclass(frozen=True)
@@ -228,7 +250,7 @@ def compute_mms(delta: SimplicialSet, method: str = "removal") -> MmsResult:
     "fixed-point" the literal closure iteration).
     """
     if method == "removal":
-        mms_points = tuple(map(tuple, _mms_array(delta).tolist()))
+        mms_points = tuple(sorted(mms_removal(delta)))
     elif method == "fixed-point":
         mms_points = tuple(sorted(mms_fixed_point(delta)))
     else:

@@ -5,9 +5,9 @@ Everything here is exact, never floats.  The hull scan tests candidates
 against the integer adjugate of the edge matrix, which a fraction-free
 elimination computes; Fraction arithmetic remains only in
 ``barycentric_coordinates`` (the per-point test used for lower-dimensional
-simplices).  A numpy fast path is used for bulk containment scans but only
-when a conservative bound shows int64 cannot overflow; otherwise the same
-formula runs on Python ints.
+simplices).  Bulk containment scans run in numpy on int64 when a bound
+shows it cannot overflow; otherwise the same formula runs on Python ints in
+numpy object arrays.
 """
 from __future__ import annotations
 
@@ -335,17 +335,13 @@ def _full_dim_points(verts: tuple[Point, ...]) -> np.ndarray:
         adj = [[-e for e in row] for row in adj]
     cands = _candidate_array(verts)
     shifted = cands - np.array(base, dtype=np.int64)
-    max_adj = max(abs(e) for row in adj for e in row)
+    abs_adj = sum(abs(e) for row in adj for e in row)
     max_c = int(np.abs(shifted).max()) if len(shifted) else 0
-    # |y_j| <= n * max_adj * max_c, and their row sum is up to n times that
-    if max_adj * max_c * n * n < _INT64_SAFE:
-        y = shifted @ np.array(adj, dtype=np.int64).T
-        return cands[(y >= 0).all(axis=1) & (y.sum(axis=1) <= det)]
-    keep = []
-    for sh in shifted.tolist():
-        y = [sum(adj[j][i] * sh[i] for i in range(n)) for j in range(n)]
-        keep.append(all(v >= 0 for v in y) and sum(y) <= det)
-    return cands[np.array(keep, dtype=bool)]
+    # every partial sum of y_j, and of the row sum of y, is at most
+    # max_c * sum |adj_ji| in absolute value; past int64, use Python ints
+    dtype = np.int64 if abs_adj * max_c < _INT64_SAFE else object
+    y = shifted.astype(dtype) @ np.array(adj, dtype=dtype).T
+    return cands[(y >= 0).all(axis=1) & (y.sum(axis=1) <= det)]
 
 
 def lattice_points(delta: SimplicialSet) -> set[Point]:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -122,9 +123,40 @@ def test_result_json_rejects_inconsistent_payload():
         MmsResult.from_json_line(line.replace('"M"', '"H"'))
 
 
-@given(small_simplices())
-def test_removal_agrees_with_fixed_point(delta):
-    assert mms_removal(delta) == mms_fixed_point(delta)
+@given(small_simplices(degrees=(2, 4, 6, 8, 10)), st.data())
+def test_removal_agrees_with_fixed_point(delta, data):
+    # negative even offsets move the per-coordinate shift of the point codes
+    offset = tuple(2 * data.draw(st.integers(-4, 0)) for _ in range(delta.ambient_dim))
+    delta = delta.translated(offset)
+    mms = mms_fixed_point(delta)
+    assert mms_removal(delta) == mms
+    result = compute_mms(delta)
+    assert result.mms_points == tuple(sorted(mms))
+    assert result.conv_count == len(lattice_points(delta))
+    assert result.floor_count == len(floor_set(delta))
+
+
+@given(small_simplices(degrees=(4, 6, 8)), st.integers(1, 40), st.booleans())
+def test_removal_in_small_blocks_and_python_int_codes(delta, block, python_ints):
+    with pytest.MonkeyPatch.context() as mp:
+        # tiny blocks split the partner test and the pair sums into many pieces
+        mp.setattr(engine, "_BLOCK", block)
+        if python_ints:
+            mp.setattr(engine, "_INT64_SAFE", 0)
+        assert mms_removal(delta) == mms_fixed_point(delta)
+
+
+def test_removal_past_int64_codes():
+    # the half simplex of 0, 4e_1, ..., 4e_28 has radix 5 per coordinate, and
+    # codes up to 5^28 overflow int64
+    n = 28
+    assert 5**n > 2**63
+    delta = SimplicialSet.of(
+        [(0,) * n] + [tuple(4 * (i == j) for j in range(n)) for i in range(n)]
+    )
+    result = compute_mms(delta)
+    assert set(result.mms_points) == mms_fixed_point(delta)
+    assert result.mms_size == result.conv_count == math.comb(n + 4, 4)
 
 
 @given(small_simplices())
@@ -172,30 +204,3 @@ def test_classification_matches_counts(delta):
     else:
         assert result.floor_count < result.mms_size < result.conv_count
 
-
-@given(small_simplices(degrees=(2, 4, 6, 8, 10)), st.data())
-def test_compute_mms_matches_fixed_point_oracle(delta, data):
-    # negative even offsets move the per-coordinate shift of the point codes
-    offset = tuple(2 * data.draw(st.integers(-4, 0)) for _ in range(delta.ambient_dim))
-    delta = delta.translated(offset)
-    result = compute_mms(delta)
-    assert set(result.mms_points) == mms_fixed_point(delta)
-    assert result.conv_count == len(lattice_points(delta))
-    assert result.floor_count == len(floor_set(delta))
-    pts = result.mms_points
-    assert all(a < b for a, b in zip(pts, pts[1:]))
-
-
-def test_mms_points_are_strictly_lex_increasing():
-    for delta in (MOTZKIN, HURWITZ2, CHOI_LAM, DIM4, TETRA):
-        pts = compute_mms(delta.translated((-2,) * delta.ambient_dim)).mms_points
-        assert all(a < b for a, b in zip(pts, pts[1:]))
-
-
-def test_point_codes_refuse_int64_overflow(monkeypatch):
-    # HURWITZ2's half simplex has radices 5 x 5
-    monkeypatch.setattr(engine, "_INT64_SAFE", 25)
-    with pytest.raises(ValueError, match="not below 25"):
-        compute_mms(HURWITZ2)
-    monkeypatch.setattr(engine, "_INT64_SAFE", 26)
-    assert compute_mms(HURWITZ2).mms_size == 15

@@ -246,12 +246,12 @@ def test_det_and_adjugate_goldens():
 
 
 @given(small_simplices(full_dim_only=True, degrees=(2, 4, 6, 8)), st.data())
-def test_full_dim_scan_python_branch_matches_numpy_branch(delta, data):
+def test_full_dim_scan_python_int_branch_matches_int64_branch(delta, data):
     offset = tuple(2 * data.draw(st.integers(-3, 3)) for _ in range(delta.ambient_dim))
     verts = delta.translated(offset).points
     fast = _integral_points(verts)
     with pytest.MonkeyPatch.context() as mp:
-        # no bound passes the int64 guard, so the Python-int loop runs
+        # no bound passes the int64 guard, so the object-array branch runs
         mp.setattr(geometry, "_INT64_SAFE", 0)
         slow = _integral_points(verts)
     assert slow.dtype == fast.dtype == np.int64
