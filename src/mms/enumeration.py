@@ -3,9 +3,9 @@ nonnegative vertices of 1-norm at most 2d.
 
 Index sets into the lex-ordered vertex list are walked in lex order with
 exact integer rank pruning: once a prefix of rows is rank-deficient, every
-index set extending it is skipped.  Rank state is kept only along the
-current path (structural sharing, rows are immutable), so the walk streams
-in bounded memory.
+index set extending it is skipped.  Rank state (the rows reduced by
+``geometry._reduce_against``) is a stack along the current path, so the walk
+streams in bounded memory.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .geometry import Point, SimplicialSet, _nonneg_ball
+from .geometry import Point, SimplicialSet, _nonneg_ball, _reduce_against
 
 
 @dataclass(frozen=True)
@@ -41,27 +41,6 @@ def vertex_list(n: int, two_d: int) -> VertexList:
     return VertexList(n=n, two_d=two_d, rows=rows)
 
 
-# rank state: pair of parallel tuples (reduced pivot rows, pivot columns),
-# grown by appending only, so child states share the parent's structure
-_EMPTY_STATE: tuple[tuple, tuple] = ((), ())
-
-
-def _try_reduce(state: tuple[tuple, tuple], vec: Sequence[int]):
-    """Reduce vec against the pivot rows (fraction-free cross-multiples).
-    Returns the extended state when vec is independent, else None."""
-    basis, pivots = state
-    v = list(vec)
-    for row, c in zip(basis, pivots):
-        vc = v[c]
-        if vc:
-            rc = row[c]
-            v = [rc * x - vc * y for x, y in zip(v, row)]
-    for c, x in enumerate(v):
-        if x:
-            return basis + (tuple(v),), pivots + (c,)
-    return None
-
-
 def _iter_full_rank_sets(
     rows: Sequence[Point], n: int, partition: int | None = None
 ) -> Iterator[tuple[int, ...]]:
@@ -70,7 +49,9 @@ def _iter_full_rank_sets(
     whose first index equals it."""
     m = len(rows)
     sel: list[int] = []
-    states: list[tuple[tuple, tuple]] = [_EMPTY_STATE]
+    # reduced pivot rows and pivot columns of the rows in sel
+    basis: list[list[int]] = []
+    pivots: list[int] = []
     cursor = partition if partition is not None else 0
     while True:
         depth = len(sel)
@@ -80,8 +61,8 @@ def _iter_full_rank_sets(
             limit = m - (n - depth) + 1
         descended = False
         while cursor < limit:
-            nxt = _try_reduce(states[-1], rows[cursor])
-            if nxt is None:
+            red = _reduce_against(basis, pivots, rows[cursor])
+            if red is None:
                 cursor += 1
                 continue
             if depth + 1 == n:
@@ -89,7 +70,8 @@ def _iter_full_rank_sets(
                 cursor += 1
                 continue
             sel.append(cursor)
-            states.append(nxt)
+            basis.append(red[0])
+            pivots.append(red[1])
             cursor += 1
             descended = True
             break
@@ -98,7 +80,8 @@ def _iter_full_rank_sets(
         if not sel:
             return
         cursor = sel.pop() + 1
-        states.pop()
+        basis.pop()
+        pivots.pop()
 
 
 def enumerate_simplices(
@@ -116,59 +99,3 @@ def enumerate_simplices(
         pts = (origin,) + tuple(rows[i] for i in idx)
         # rows are lex-sorted and nonzero, so pts is sorted with origin first
         yield SimplicialSet(pts)
-
-
-def _combination_successor(indices: list[int], m: int) -> list[int] | None:
-    n = len(indices)
-    for j in range(n - 1, -1, -1):
-        if indices[j] < m - (n - j):
-            indices[j] += 1
-            for t in range(j + 1, n):
-                indices[t] = indices[t - 1] + 1
-            return indices
-    return None
-
-
-def _advance_at(indices: list[int], j: int, m: int) -> list[int] | None:
-    """Smallest index set greater than the current one that differs at or
-    before position j (used to skip all extensions of a bad prefix)."""
-    n = len(indices)
-    while j >= 0:
-        if indices[j] < m - (n - j):
-            indices[j] += 1
-            for t in range(j + 1, n):
-                indices[t] = indices[t - 1] + 1
-            return indices
-        j -= 1
-    return None
-
-
-def lex_next_full_rank(
-    V: VertexList, indices: Sequence[int]
-) -> tuple[int, ...] | None:
-    """The lex-smallest full-rank n-index set strictly after ``indices``
-    (0-based), or None when none remains.  Stateless: each call replays the
-    prefix rank checks, skipping every extension of a rank-deficient prefix.
-    """
-    rows = V.rows
-    m = len(rows)
-    n = V.n
-    idx = [int(i) for i in indices]
-    if len(idx) != n:
-        raise ValueError(f"index set must have {n} entries")
-    if any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0 or idx[-1] >= m:
-        raise ValueError("index set must be strictly increasing and in range")
-    J = _combination_successor(idx, m)
-    while J is not None:
-        state = _EMPTY_STATE
-        deficient_at = None
-        for j in range(n):
-            nxt = _try_reduce(state, rows[J[j]])
-            if nxt is None:
-                deficient_at = j
-                break
-            state = nxt
-        if deficient_at is None:
-            return tuple(J)
-        J = _advance_at(J, deficient_at, m)
-    return None

@@ -1,20 +1,19 @@
-"""Exact integer and rational geometry for even lattice simplices.
+"""Exact integer geometry for even lattice simplices.
 
 Points are plain tuples of ints; hull scans return lex-sorted int64 arrays.
-Everything here is exact, never floats.  The hull scan tests candidates
-against the integer adjugate of the edge matrix, which a fraction-free
-elimination computes; Fraction arithmetic remains only in
-``barycentric_coordinates`` (the per-point test used for lower-dimensional
-simplices).  Bulk containment scans run in numpy on int64 when a bound
-shows it cannot overflow; otherwise the same formula runs on Python ints in
-numpy object arrays.
+Everything here is exact integer arithmetic, with no floats and no Fraction
+left.  One integer affine frame (:func:`_affine_frame`: a pivot minor of the
+edge matrix, its determinant and adjugate from a fraction-free elimination)
+decides membership for simplices of every dimension, in the hull scan and
+in the point tests :func:`contains` and :func:`strictly_interior` alike.
+Scans run in numpy on int64 when a bound shows they cannot overflow;
+otherwise the same formula runs on Python ints in numpy object arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,54 +171,21 @@ def midpoint_set(points: Iterable[Sequence[int]]) -> set[Point]:
     return out
 
 
-def barycentric_coordinates(
-    delta: SimplicialSet, point: Sequence[int]
-) -> tuple[Fraction, ...] | None:
-    """Exact barycentric coordinates of ``point`` w.r.t. the vertices of
-    ``delta``, or None when the point lies outside the affine hull.
-
-    Solves sum(lam_i * v_i) = p with sum(lam_i) = 1 over Fractions.  The
-    vertex columns have full column rank by the simplicial-set invariant.
-    """
-    verts = delta.points
-    n = delta.ambient_dim
-    if len(point) != n:
-        raise ValueError("dimension mismatch")
-    k = len(verts)
-    rows: list[list[Fraction]] = [
-        [Fraction(v[i]) for v in verts] + [Fraction(point[i])] for i in range(n)
-    ]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    # forward elimination; every column gets a pivot (rank k)
-    r = 0
-    for col in range(k):
-        piv = next(i for i in range(r, len(rows)) if rows[i][col] != 0)
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[col]
-        rows[r] = prow = [x * inv for x in prow]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        r += 1
-    # consistency: remaining rows must have zero residual
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            return None
-    return tuple(rows[i][-1] for i in range(k))
-
-
 def contains(delta: SimplicialSet, point: Sequence[int]) -> bool:
     """Exact test for point membership in conv(delta)."""
-    bc = barycentric_coordinates(delta, tuple(point))
-    return bc is not None and all(lam >= 0 for lam in bc)
+    return _point_in_hull(delta, point, strict=False)
 
 
 def strictly_interior(delta: SimplicialSet, point: Sequence[int]) -> bool:
     """True when the point lies in the relative interior of conv(delta)."""
-    bc = barycentric_coordinates(delta, tuple(point))
-    return bc is not None and all(lam > 0 for lam in bc)
+    return _point_in_hull(delta, point, strict=True)
+
+
+def _point_in_hull(delta: SimplicialSet, point: Sequence[int], strict: bool) -> bool:
+    if len(point) != delta.ambient_dim:
+        raise ValueError("dimension mismatch")
+    row = np.array([[int(c) for c in point]], dtype=object)
+    return bool(_hull_mask(delta.points, row, strict)[0])
 
 
 @lru_cache(maxsize=256)
@@ -309,39 +275,79 @@ def _det_and_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]
     return sign * prev, [[sign * x for x in row[n:]] for row in aug]
 
 
+def _affine_frame(verts: Sequence[Point]) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Integer frame ``(det, weights, edges)`` of the k-simplex ``verts`` in Z^n.
+
+    The edges e_i = v_i - v_0 are reduced with :func:`_reduce_against`; the
+    reduced rows are triangular on their pivot columns P, so the k x k minor
+    A = (e_i[p])_{p in P, i} of the edges is nonsingular.  ``weights`` is the
+    n x k matrix whose rows P hold adj(A)^T and whose other rows are zero, so
+    a point x of the affine hull has barycentric coordinates
+    lam_i = y_i / det (i = 1..k) and lam_0 = 1 - sum(lam), with
+    y = (x - v_0) weights.  ``det`` is made positive and ``det`` and the
+    adjugate are divided by their gcd, which leaves every lam unchanged.
+    Raises ValueError when ``verts`` are affinely dependent.
+    """
+    base = verts[0]
+    n = len(base)
+    edges = [[a - b for a, b in zip(v, base)] for v in verts[1:]]
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for e in edges:
+        red = _reduce_against(basis, pivots, e)
+        if red is None:
+            raise ValueError("points are affinely dependent")
+        basis.append(red[0])
+        pivots.append(red[1])
+    det, adj = _det_and_adjugate([[e[p] for e in edges] for p in pivots])
+    g = gcd(det, *(x for row in adj for x in row))
+    if det < 0:
+        g = -g
+    weights = [[0] * len(edges) for _ in range(n)]
+    for j, p in enumerate(pivots):
+        weights[p] = [row[j] // g for row in adj]
+    return det // g, weights, edges
+
+
+def _hull_mask(verts: Sequence[Point], pts: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Mask of the rows x of the integer array ``pts`` that lie in
+    conv(verts), or in its relative interior when ``strict``.
+
+    With (det, W, E) the frame of :func:`_affine_frame` and y = (x - v_0) W,
+    x is in conv(verts) iff y >= 0, sum(y) <= det and, when k < n, x is on
+    the affine hull: det (x - v_0) = y E.  Strict inequalities give the
+    relative interior."""
+    det, weights, edges = _affine_frame(verts)
+    k, n = len(edges), len(verts[0])
+    shifted = pts - np.array(verts[0], dtype=pts.dtype)
+    max_c = int(np.abs(shifted).max()) if shifted.size else 0
+    # every partial sum of y_j, and of the row sum of y, is at most y_bound
+    # in absolute value; the hull test's det * x and partial sums of y E stay
+    # within det * max_c and y_bound * sum |E_ji|.  Past int64, use Python ints
+    y_bound = max_c * sum(abs(x) for row in weights for x in row)
+    bound = y_bound
+    if k < n:
+        e_abs = sum(abs(x) for row in edges for x in row)
+        bound = max(y_bound * e_abs, det * max_c)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    shifted = shifted.astype(dtype)
+    y = shifted @ np.array(weights, dtype=dtype).reshape(n, k)
+    if strict:
+        mask = (y > 0).all(axis=1) & (y.sum(axis=1) < det)
+    else:
+        mask = (y >= 0).all(axis=1) & (y.sum(axis=1) <= det)
+    if k < n:
+        image = y @ np.array(edges, dtype=dtype).reshape(k, n)
+        mask &= (det * shifted == image).all(axis=1)
+    return mask
+
+
 def _integral_points(verts: tuple[Point, ...]) -> np.ndarray:
     """conv(verts) cap Z^n as a lex-sorted int64 array of shape (m, n).
     ``verts`` must be affinely independent (need not be even: internal
-    callers pass halved vertices)."""
-    n = len(verts[0])
-    k = len(verts) - 1
-    if k == n:
-        return _full_dim_points(verts)
-    # lower-dimensional simplex: exact per-candidate solve
+    callers pass halved vertices) and may span any dimension k <= n."""
     cands = _candidate_array(verts)
-    delta = SimplicialSet(tuple(sorted(verts)))
-    keep = [contains(delta, tuple(row)) for row in cands.tolist()]
-    return cands[np.array(keep, dtype=bool)]
-
-
-def _full_dim_points(verts: tuple[Point, ...]) -> np.ndarray:
-    n = len(verts[0])
-    base = verts[0]
-    cols = [tuple(v[i] - base[i] for i in range(n)) for v in verts[1:]]
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det, adj = _det_and_adjugate(mat)
-    if det < 0:
-        det = -det
-        adj = [[-e for e in row] for row in adj]
-    cands = _candidate_array(verts)
-    shifted = cands - np.array(base, dtype=np.int64)
-    abs_adj = sum(abs(e) for row in adj for e in row)
-    max_c = int(np.abs(shifted).max()) if len(shifted) else 0
-    # every partial sum of y_j, and of the row sum of y, is at most
-    # max_c * sum |adj_ji| in absolute value; past int64, use Python ints
-    dtype = np.int64 if abs_adj * max_c < _INT64_SAFE else object
-    y = shifted.astype(dtype) @ np.array(adj, dtype=dtype).T
-    return cands[(y >= 0).all(axis=1) & (y.sum(axis=1) <= det)]
+    return cands[_hull_mask(verts, cands)]
 
 
 def lattice_points(delta: SimplicialSet) -> set[Point]:

@@ -3,10 +3,13 @@ canonicalize, shard, merge, and summarize.
 
 Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling.  Records carry the
-lex-minimal representative seen *within their shard*, so the merged minimum
-is the global minimum no matter how work was distributed.  Per-process
-caches (HNF orbit -> key, key -> class invariants) only skip recomputation
-of values that are equal across each lattice class by invariance.
+representative whose vertex tuple is least *within their shard*, and the
+merge keeps the least vertex tuple again, so the merged representative is
+the tuple-minimal simplex of its class over the whole run (every simplex
+enumerated, or every sample drawn), however the work was distributed.
+Per-process caches (HNF orbit -> key, key -> class invariants) only skip
+recomputation of values that are equal across each lattice class by
+invariance.
 """
 from __future__ import annotations
 

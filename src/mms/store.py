@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .engine import Classification, HRatio, MmsResult, compute_mms
-from .geometry import SimplicialSet
+from .geometry import SimplicialSet, parse_point
 
 HISTOGRAM_BINS = 20
 AUDIT_STRIDE = 100  # every 100th merged record is recomputed from scratch
@@ -114,10 +114,6 @@ class Shard:
                 fh.write("\n")
 
 
-def put(shard: Shard, record: MmsRecord) -> None:
-    shard.put(record)
-
-
 def _combine(a: MmsRecord, b: MmsRecord) -> MmsRecord:
     if a.key != b.key:
         raise ValueError("cannot combine records with different keys")
@@ -129,7 +125,12 @@ def _combine(a: MmsRecord, b: MmsRecord) -> MmsRecord:
             )
     if a.classification != b.classification or str(a.h_ratio) != str(b.h_ratio):
         raise StoreAuditError(f"records for key {a.key} disagree on derived fields")
-    rep = min(a.representative, b.representative)
+    # keep the least vertex tuple, the order shards pick representatives in
+    rep = min(
+        a.representative,
+        b.representative,
+        key=lambda text: tuple(map(parse_point, text.split(";"))),
+    )
     return MmsRecord(
         key=a.key,
         representative=rep,
@@ -162,7 +163,8 @@ def _iter_shard(path: str) -> Iterator[tuple[str, MmsRecord]]:
 def merge(shard_paths: Iterable[str], out_path: str, audit: bool = True) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
     offset index.  Records with equal keys are combined (multiplicities sum,
-    lex-min representative wins); shard order cannot affect the output.
+    the representative with the least vertex tuple wins); shard order cannot
+    affect the output.
     Every AUDIT_STRIDE-th record is recomputed from its representative.
     """
     paths = sorted(shard_paths)
@@ -281,10 +283,6 @@ class Store:
                     yield MmsRecord.from_json(line)
                 except (ValueError, KeyError) as exc:
                     raise StoreFormatError(f"{self.path}:{lineno}: bad record: {exc}") from exc
-
-
-def get(store: Store, key: str) -> MmsRecord | None:
-    return store.get(key)
 
 
 @dataclass(frozen=True)

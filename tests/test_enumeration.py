@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mms.enumeration import (
-    enumerate_simplices,
-    lex_next_full_rank,
-    vertex_list,
-)
+from mms.enumeration import enumerate_simplices, vertex_list
 from mms.geometry import SimplicialSet, is_even_point, linear_rank, one_norm
 
 
@@ -100,40 +96,6 @@ def test_partitions_are_disjoint_and_exhaustive(n, two_d):
 def test_partition_out_of_range():
     with pytest.raises(ValueError):
         list(enumerate_simplices(2, 4, partition=5))
-
-
-def test_lex_next_full_rank_golden():
-    v = vertex_list(2, 4)
-    assert lex_next_full_rank(v, (0, 1)) == (0, 2)
-
-
-def test_lex_next_walk_reproduces_enumeration():
-    v = vertex_list(2, 6)
-    rows = v.rows
-    origin = (0, 0)
-    walked = []
-    cur = lex_next_full_rank(v, (0, 1)) if linear_rank(rows[:2]) < 2 else (0, 1)
-    while cur is not None:
-        walked.append(tuple(sorted((origin,) + tuple(rows[i] for i in cur))))
-        cur = lex_next_full_rank(v, cur)
-    direct = [s.points for s in enumerate_simplices(2, 6)]
-    assert walked == direct
-
-
-def test_lex_next_returns_none_at_end():
-    v = vertex_list(2, 4)
-    m = len(v.rows)
-    assert lex_next_full_rank(v, (m - 2, m - 1)) is None
-
-
-def test_lex_next_validates_input():
-    v = vertex_list(2, 4)
-    with pytest.raises(ValueError):
-        lex_next_full_rank(v, (0,))
-    with pytest.raises(ValueError):
-        lex_next_full_rank(v, (1, 0))
-    with pytest.raises(ValueError):
-        lex_next_full_rank(v, (0, 99))
 
 
 @given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 4, 6]))

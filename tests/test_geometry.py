@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mms import geometry
 from mms.geometry import (
     SimplicialSet,
     affinely_independent,
-    barycentric_coordinates,
     contains,
     even_lattice_points,
     format_point,
@@ -23,6 +23,7 @@ from mms.geometry import (
     one_norm,
     parse_point,
     strictly_interior,
+    _affine_frame,
     _det_and_adjugate,
     _integral_points,
     _nonneg_ball,
@@ -30,6 +31,38 @@ from mms.geometry import (
 
 MOTZKIN = SimplicialSet.parse("0,0;2,4;4,2")
 HURWITZ2 = SimplicialSet.parse("0,0;4,0;0,4")
+
+
+def fraction_barycentric(delta, point):
+    """Reference barycentric coordinates: Gauss-Jordan over Fractions on
+    sum(lam_i v_i) = p, sum(lam_i) = 1.  None when the point is off the
+    affine hull.  Independent of the integer frame the library uses."""
+    verts = delta.points
+    k = len(verts)
+    rows = [[Fraction(v[i]) for v in verts] + [Fraction(point[i])] for i in range(len(point))]
+    rows.append([Fraction(1)] * (k + 1))
+    for col in range(k):
+        # the vertex columns are independent, so every column has a pivot
+        piv = next(i for i in range(col, len(rows)) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = [x / rows[col][col] for x in rows[col]]
+        rows = [
+            prow if i == col else [x - r[col] * y for x, y in zip(r, prow)]
+            for i, r in enumerate(rows)
+        ]
+    if any(r[-1] != 0 for r in rows[k:]):
+        return None
+    return tuple(r[-1] for r in rows[:k])
+
+
+def reference_contains(delta, point):
+    lam = fraction_barycentric(delta, point)
+    return lam is not None and min(lam) >= 0
+
+
+def reference_strictly_interior(delta, point):
+    lam = fraction_barycentric(delta, point)
+    return lam is not None and min(lam) > 0
 
 
 def test_parse_format_round_trip():
@@ -114,26 +147,45 @@ def test_midpoint_set_skips_odd_members():
     assert midpoint_set([(2, 2)]) == set()
 
 
-def test_barycentric_coordinates_motzkin():
-    lam = barycentric_coordinates(MOTZKIN, (2, 2))
-    assert lam is not None and sum(lam) == 1
-    # outside the hull the coordinates still exist but go negative
-    outside = barycentric_coordinates(MOTZKIN, (6, 6))
-    assert outside is not None and min(outside) < 0
-    # lower-dimensional set: points off the affine hull get None
-    seg = SimplicialSet.parse("0,0;2,2")
-    assert barycentric_coordinates(seg, (1, 1)) is not None
-    assert barycentric_coordinates(seg, (1, 0)) is None
-
-
 def test_contains_and_strictly_interior():
     assert contains(MOTZKIN, (2, 2))
     assert contains(MOTZKIN, (0, 0))
     assert not contains(MOTZKIN, (4, 4))
+    assert not contains(MOTZKIN, (6, 6))  # outside: a coordinate is negative
     assert strictly_interior(MOTZKIN, (2, 2))
     assert not strictly_interior(MOTZKIN, (0, 0))  # vertex
     assert not strictly_interior(MOTZKIN, (1, 2))  # on an edge
     assert strictly_interior(HURWITZ2, (1, 1))
+    # lower-dimensional set: points off the affine hull are never inside
+    seg = SimplicialSet.parse("0,0;2,2")
+    assert contains(seg, (1, 1)) and strictly_interior(seg, (1, 1))
+    assert not contains(seg, (1, 0))
+    assert not contains(seg, (3, 3))
+    with pytest.raises(ValueError):
+        contains(MOTZKIN, (1, 1, 1))
+    with pytest.raises(ValueError):
+        strictly_interior(seg, (1,))
+
+
+@given(small_simplices(), st.data())
+def test_point_tests_agree_with_fraction_reference(delta, data):
+    n = delta.ambient_dim
+    lo = [min(p[i] for p in delta.points) - 2 for i in range(n)]
+    hi = [max(p[i] for p in delta.points) + 2 for i in range(n)]
+    # lattice points, reflections of vertices through v_0 (on the affine hull,
+    # outside the hull), and points of a box reaching past the hull (off the
+    # affine hull too, when delta is lower-dimensional)
+    v0 = delta.points[0]
+    points = list(lattice_points(delta))
+    points += [tuple(2 * a - b for a, b in zip(v0, v)) for v in delta.points[1:]]
+    points += data.draw(
+        st.lists(
+            st.tuples(*[st.integers(a, b) for a, b in zip(lo, hi)]), min_size=1, max_size=20
+        )
+    )
+    for p in points:
+        assert contains(delta, p) == reference_contains(delta, p)
+        assert strictly_interior(delta, p) == reference_strictly_interior(delta, p)
 
 
 def test_lattice_points_motzkin_golden():
@@ -150,6 +202,22 @@ def test_lattice_points_hurwitz_count():
 
 def test_lattice_points_lower_dimensional():
     assert _integral_points(((0, 0), (2, 2))).tolist() == [[0, 0], [1, 1], [2, 2]]
+    # a triangle in Z^4: 6 of the 4,006 candidates of its ball lie on it
+    tri = SimplicialSet.parse("0,0,0,0;4,6,2,8;6,2,8,4")
+    assert lattice_points(tri) == {
+        (0, 0, 0, 0), (2, 3, 1, 4), (3, 1, 4, 2), (4, 6, 2, 8), (5, 4, 5, 6), (6, 2, 8, 4),
+    }
+
+
+def test_frame_is_reduced_by_gcd():
+    # 0, 4e_1..4e_30: det 4^30 and adjugate 4^29 I share the factor 4^29, so
+    # the frame is (4, I) and the 46,376-candidate scan stays in int64
+    n = 30
+    verts = ((0,) * n,) + tuple(tuple(4 * (i == j) for j in range(n)) for i in range(n))
+    det, weights, _ = _affine_frame(verts)
+    assert det == 4
+    assert weights == [[int(i == j) for j in range(n)] for i in range(n)]
+    assert len(lattice_points(SimplicialSet(tuple(sorted(verts))))) == math.comb(34, 4)
 
 
 def test_even_lattice_points_motzkin():
@@ -171,7 +239,7 @@ def test_lattice_points_agree_with_brute_force(delta):
     brute = {
         p
         for p in itertools.product(*[range(h + 1) for h in hi])
-        if contains(delta, p)
+        if reference_contains(delta, p)
     }
     assert lattice_points(delta) == brute
 
@@ -245,7 +313,7 @@ def test_det_and_adjugate_goldens():
     assert _det_and_adjugate([]) == (1, [])
 
 
-@given(small_simplices(full_dim_only=True, degrees=(2, 4, 6, 8)), st.data())
+@given(small_simplices(degrees=(2, 4, 6, 8)), st.data())
 def test_full_dim_scan_python_int_branch_matches_int64_branch(delta, data):
     offset = tuple(2 * data.draw(st.integers(-3, 3)) for _ in range(delta.ambient_dim))
     verts = delta.translated(offset).points

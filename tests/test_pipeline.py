@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from mms import __version__
+from mms.canon import canonical_key
+from mms.enumeration import enumerate_simplices
 from mms.pipeline import (
     RunManifest,
     check_conjecture,
@@ -85,6 +87,20 @@ def test_full_run_stats_files(full_run):
     assert payload["simplicial_sets"]["mean_exact"] == "29/30"
     assert payload["lattices"]["decrease_factor"] == "3.000000"
     assert float(payload["simplicial_sets"]["mean"]) == pytest.approx(float(sim.mean_h_ratio))
+
+
+def test_merged_representatives_are_tuple_minima(tmp_path):
+    # at 2x16 many classes span several partitions, so the merge chooses
+    # between shard minima and must keep the least vertex tuple too
+    run_pipeline(2, 16, "full", 1, str(tmp_path), audit=False)
+    least = {}
+    for delta in enumerate_simplices(2, 16):
+        key = canonical_key(delta).key_text
+        if key not in least or delta.points < least[key].points:
+            least[key] = delta
+    with open(tmp_path / "merged.jsonl") as fh:
+        stored = {rec["key"]: rec["representative"] for rec in map(json.loads, fh)}
+    assert stored == {key: str(delta) for key, delta in least.items()}
 
 
 def test_worker_count_does_not_change_outputs(full_run, tmp_path):

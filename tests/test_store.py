@@ -77,6 +77,19 @@ def test_shard_combines_same_key():
     assert rec.mms_size == 6 and rec.classification is Classification.M
 
 
+def test_combine_keeps_tuple_minimal_representative():
+    # the text order would keep "0,0;0,10;2,0" ("1" < "2"); (0, 2) < (0, 10)
+    wide = SimplicialSet.parse("0,0;0,10;2,0")
+    tall = SimplicialSet.parse("0,0;0,2;10,0")
+    key = canonical_key(wide).key_text
+    assert canonical_key(tall).key_text == key
+    sh = Shard()
+    sh.put(MmsRecord.from_result(key, compute_mms(wide)))
+    sh.put(MmsRecord.from_result(key, compute_mms(tall)))
+    (rec,) = sh._records.values()
+    assert rec.representative == "0,0;0,2;10,0"
+
+
 def test_shard_rejects_conflicting_invariants():
     sh = Shard()
     sh.put(record_for(MOTZKIN))
