@@ -5,12 +5,16 @@ the matrix whose columns are the nonzero vertices.  Unimodular maps of the
 simplex change that matrix by left multiplication (same row span) and vertex
 reordering permutes columns, so the canonical key is the minimal HNF over
 all column permutations.
+
+Every key resolves through this module's per-process orbit table: the
+first matrix of a class pays one n! pass (:func:`hnf_orbit`) that maps each
+HNF of the orbit to the class key, later ones one HNF and a lookup.  The
+table never evicts: at most n! HNFs per distinct class seen.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from .geometry import SimplicialSet, _det_and_adjugate
 
@@ -116,17 +120,6 @@ class CanonicalLatticeKey:
         return self.key_bytes.decode("ascii")
 
 
-def _column_gcds(m: Matrix) -> list[int]:
-    cols = transpose(m)
-    out = []
-    for col in cols:
-        g = 0
-        for e in col:
-            g = gcd(g, e)
-        out.append(g)
-    return out
-
-
 def hnf_orbit(m: Matrix) -> list[Matrix]:
     """All distinct HNFs of column permutations of m, sorted by their
     serialized form.  This is the complete set of plain HNFs occurring in
@@ -137,14 +130,35 @@ def hnf_orbit(m: Matrix) -> list[Matrix]:
     return sorted(seen, key=serialize_matrix)
 
 
+# every HNF of each column-permutation orbit seen -> that class's key
+_orbit_keys: dict[Matrix, CanonicalLatticeKey] = {}
+
+
+def _class_key(h: Matrix) -> CanonicalLatticeKey:
+    """Canonical key of the class of a plain HNF, through the orbit table."""
+    key = _orbit_keys.get(h)
+    if key is None:
+        orbit = hnf_orbit(h)
+        best = orbit[0]
+        key = CanonicalLatticeKey(hnf=best, key_bytes=serialize_matrix(best).encode("ascii"))
+        for member in orbit:
+            _orbit_keys[member] = key
+    return key
+
+
+def _key_of_hnf(h: Matrix) -> str:
+    """Canonical key text for a plain HNF."""
+    return _class_key(h).key_text
+
+
 def canonical_key_of_matrix(m: Matrix) -> CanonicalLatticeKey:
     """Minimal serialized HNF over all column permutations of a generator
     matrix.  The minimum is taken in the serialized text order, so it is
-    exactly the smallest key that can name this lattice class."""
+    exactly the smallest key that can name this lattice class.  hnf(m) has
+    the orbit of m, as row operations commute with column permutations."""
     if not m or not m[0]:
         raise ValueError("empty matrix has no canonical key")
-    best = hnf_orbit(m)[0]
-    return CanonicalLatticeKey(hnf=best, key_bytes=serialize_matrix(best).encode("ascii"))
+    return _class_key(hnf(m))
 
 
 def canonical_key(delta: SimplicialSet) -> CanonicalLatticeKey:
@@ -159,16 +173,9 @@ def canonical_key(delta: SimplicialSet) -> CanonicalLatticeKey:
 
 def equivalent(d1: SimplicialSet, d2: SimplicialSet) -> bool:
     """Whether two full-dimensional simplices have the same lattice up to
-    coordinate permutation.  Cheap invariants (|det| = lattice index, column
-    gcd multiset) filter before the permutation search."""
+    coordinate permutation, i.e. equal canonical keys."""
     if d1.ambient_dim != d2.ambient_dim:
         raise ValueError("dimension mismatch")
     if d1.simplex_dim != d1.ambient_dim or d2.simplex_dim != d2.ambient_dim:
         raise ValueError("equivalence requires full-dimensional simplices")
-    g1 = generator_matrix(d1)
-    g2 = generator_matrix(d2)
-    if abs(matrix_determinant(g1)) != abs(matrix_determinant(g2)):
-        return False
-    if sorted(_column_gcds(g1)) != sorted(_column_gcds(g2)):
-        return False
-    return canonical_key_of_matrix(g1).key_bytes == canonical_key_of_matrix(g2).key_bytes
+    return canonical_key(d1) == canonical_key(d2)

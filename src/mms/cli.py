@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Data goes to stdout or files, progress to stderr.  Exit codes: 0 success,
-1 invalid input, 2 conjecture counterexample found, 3 I/O failure.
+1 invalid input (an input too large for memory included), 2 conjecture
+counterexample found, 3 I/O failure.
 """
 from __future__ import annotations
 
@@ -147,6 +148,8 @@ def _iter_input_deltas(args):
                 continue
             try:
                 payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError("a record must be a JSON object")
                 yield SimplicialSet.parse(payload["delta"])
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{args.infile}:{lineno}: bad input line: {exc}") from exc
@@ -208,27 +211,30 @@ def _cmd_check_sos(args) -> int:
             raw = json.load(fh)
         if not isinstance(raw, list):
             raise ValueError("--terms file must contain a JSON list")
-        terms = [
-            InnerTerm.of(parse_point(entry["beta"]), Sign(entry.get("sign", "NEG")))
-            for entry in raw
-        ]
+        terms = []
+        for i, entry in enumerate(raw):
+            try:
+                if not isinstance(entry, dict):
+                    raise ValueError("a term must be a JSON object")
+                beta = parse_point(entry["beta"])
+                terms.append(InnerTerm.of(beta, Sign(entry.get("sign", "NEG"))))
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"{args.terms}: entry {i}: bad term: {exc}") from exc
     from .sos import _memo
 
     if args.exactness:
         poly = SimplexSupportedPoly(delta=delta, inner_terms=tuple(terms))
         verdict = sos_bound_is_exact(poly)
         question = "sos_bound_is_exact"
-        mms = _memo.mms_of(delta)
     elif args.beta is not None and len(terms) == 1:
         support = CircuitSupport(delta=delta, beta=terms[0].beta)
         verdict = circuit_is_sos(support)
         question = "circuit_is_sos"
-        mms = _memo.mms_of(delta)
     else:
         poly = SimplexSupportedPoly(delta=delta, inner_terms=tuple(terms))
         verdict = sonc_simplex_is_sos(poly)
         question = "sonc_simplex_is_sos"
-        mms = _memo.mms_of(delta)
+    mms = _memo.mms_of(delta)
     payload = {
         "question": question,
         "delta": str(delta),
@@ -315,6 +321,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"mms: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"mms: error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

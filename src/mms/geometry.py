@@ -26,6 +26,8 @@ _INT64_SAFE = 2**62
 
 def parse_point(text: str) -> Point:
     """Parse "a,b,c" into an integer tuple."""
+    if not isinstance(text, str):
+        raise ValueError(f"bad lattice point {text!r}: not a string")
     try:
         return tuple(int(part) for part in text.strip().split(","))
     except ValueError as exc:
@@ -111,6 +113,8 @@ class SimplicialSet:
 
     @classmethod
     def parse(cls, text: str) -> "SimplicialSet":
+        if not isinstance(text, str):
+            raise ValueError(f"bad simplex {text!r}: not a string")
         parts = [p for p in text.strip().split(";") if p]
         return cls.of(parse_point(p) for p in parts)
 
@@ -191,26 +195,19 @@ def _point_in_hull(delta: SimplicialSet, point: Sequence[int], strict: bool) -> 
 @lru_cache(maxsize=256)
 def _nonneg_ball(n: int, deg: int) -> np.ndarray:
     """All p in Z^n with p >= 0 and |p|_1 <= deg, lex-sorted, as an int64
-    array of shape (comb(n + deg, n), n).  Cached: the pipeline hits the same
+    array of shape (comb(n + deg, n), n).  Built one coordinate at a time:
+    each row is followed by its extensions by 0..(budget left), in order,
+    so the rows stay lex-sorted.  Cached: the pipeline hits the same
     (n, deg) pairs over and over."""
-    rows: list[tuple[int, ...]] = []
-    prefix = [0] * n
-
-    def rec(i: int, left: int) -> None:
-        if i == n - 1:
-            for v in range(left + 1):
-                prefix[i] = v
-                rows.append(tuple(prefix))
-            return
-        for v in range(left + 1):
-            prefix[i] = v
-            rec(i + 1, left - v)
-
-    rec(0, deg)
-    rows.sort()
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    assert len(rows) == comb(n + deg, n)
-    return arr
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([deg], dtype=np.int64)
+    for _ in range(n):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        values = np.arange(len(starts), dtype=np.int64) - starts
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), values])
+        left = np.repeat(left, counts) - values
+    return rows
 
 
 def _box_grid(mins: Sequence[int], maxs: Sequence[int]) -> np.ndarray:
@@ -234,10 +231,8 @@ def _candidate_array(verts: Sequence[Point]) -> np.ndarray:
     box_volume = 1
     for lo, hi in zip(mins, maxs):
         box_volume *= hi - lo + 1
-    if all(lo >= 0 for lo in mins):
-        ball = _nonneg_ball(n, maxdeg)
-        if len(ball) <= box_volume:
-            return ball
+    if all(lo >= 0 for lo in mins) and comb(n + maxdeg, n) <= box_volume:
+        return _nonneg_ball(n, maxdeg)
     grid = _box_grid(mins, maxs)
     keep = np.abs(grid).sum(axis=1) <= maxdeg
     return grid[keep]

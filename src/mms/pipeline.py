@@ -7,9 +7,9 @@ representative whose vertex tuple is least *within their shard*, and the
 merge keeps the least vertex tuple again, so the merged representative is
 the tuple-minimal simplex of its class over the whole run (every simplex
 enumerated, or every sample drawn), however the work was distributed.
-Per-process caches (HNF orbit -> key, key -> class invariants) only skip
-recomputation of values that are equal across each lattice class by
-invariance.
+Canonical keys resolve through the orbit table in :mod:`mms.canon`; the
+per-process key -> class invariants cache only skips recomputation of
+values that are equal across each lattice class by invariance.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 from . import __version__
-from .canon import Matrix, hnf, hnf_orbit, serialize_matrix
+from .canon import Matrix, _key_of_hnf, hnf
 from .engine import Classification, HRatio, compute_mms
 from .enumeration import _iter_full_rank_sets, vertex_list
 from .geometry import Point, SimplicialSet
@@ -77,24 +77,9 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# per-process caches (safe: cached values are invariants of the lattice class)
+# per-process cache (safe: cached values are invariants of the lattice class)
 
-_orbit_keys: dict[Matrix, str] = {}
 _class_invariants: dict[str, tuple[int, int, int, Classification, HRatio]] = {}
-
-
-def _key_of_hnf(h: Matrix) -> str:
-    """Canonical key for a plain HNF, via the complete column-permutation
-    orbit.  One n! pass per equivalence class per process; every orbit
-    member is registered, so later simplices of the class resolve by one
-    dict lookup after their own single HNF."""
-    key = _orbit_keys.get(h)
-    if key is None:
-        orbit = hnf_orbit(h)
-        key = serialize_matrix(orbit[0])
-        for member in orbit:
-            _orbit_keys[member] = key
-    return key
 
 
 def _invariants_for(key: str, delta: SimplicialSet):

@@ -5,15 +5,17 @@ exponent lying in the MMS of the support simplex.  For a simplex-supported
 polynomial whose inner terms all have a negative coefficient or an odd
 exponent, SOS-ness is equivalent to all inner exponents lying in the MMS.
 Outside that hypothesis the equivalence fails and the decision is refused.
+Each decision reads the MMS of its own support through a bounded memo
+keyed by the simplex; no lattice key is needed.
 """
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .canon import canonical_key
 from .engine import mms_removal
 from .geometry import Point, SimplicialSet, strictly_interior
 
@@ -90,30 +92,29 @@ class SimplexSupportedPoly:
                 )
 
 
+_MEMO_SIZE = 256  # simplices whose MMS the memo keeps
+
+
 class _MmsMemo:
-    """MMS sets memoized by canonical lattice key, then by the simplex
-    itself: equal keys mean equal MMS only up to a unimodular map, so the
-    concrete point set must be cached per simplex."""
+    """MMS point sets of the ``_MEMO_SIZE`` most recently used simplices.
+    Keyed by the simplex itself: equivalent simplices have equal MMS only
+    up to a unimodular map."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_key: dict[bytes, dict[str, frozenset[Point]]] = {}
+        self._by_key: OrderedDict[SimplicialSet, frozenset[Point]] = OrderedDict()
 
     def mms_of(self, delta: SimplicialSet) -> frozenset[Point]:
-        if delta.simplex_dim == delta.ambient_dim:
-            key = canonical_key(delta).key_bytes
-        else:
-            # lower-dimensional supports are legal for circuits; no lattice
-            # key is defined for them, so they share one bucket
-            key = b"lowdim:%d" % delta.ambient_dim
-        serial = str(delta)
         with self._lock:
-            per_key = self._by_key.get(key)
-            if per_key is not None and serial in per_key:
-                return per_key[serial]
+            result = self._by_key.get(delta)
+            if result is not None:
+                self._by_key.move_to_end(delta)
+                return result
         result = frozenset(mms_removal(delta))
         with self._lock:
-            self._by_key.setdefault(key, {})[serial] = result
+            self._by_key[delta] = result
+            if len(self._by_key) > _MEMO_SIZE:
+                self._by_key.popitem(last=False)
         return result
 
 

@@ -79,16 +79,21 @@ class MmsRecord:
     @classmethod
     def from_json(cls, line: str) -> "MmsRecord":
         payload = json.loads(line)
-        return cls(
-            key=str(payload["key"]),
-            representative=str(payload["representative"]),
-            mms_size=int(payload["mms_size"]),
-            conv_count=int(payload["conv_count"]),
-            floor_count=int(payload["floor_count"]),
-            classification=Classification(payload["classification"]),
-            h_ratio=HRatio.parse(payload["h_ratio"]),
-            simplex_multiplicity=int(payload["simplex_multiplicity"]),
-        )
+        if not isinstance(payload, dict):
+            raise ValueError("a record must be a JSON object")
+        try:
+            return cls(
+                key=str(payload["key"]),
+                representative=str(payload["representative"]),
+                mms_size=int(payload["mms_size"]),
+                conv_count=int(payload["conv_count"]),
+                floor_count=int(payload["floor_count"]),
+                classification=Classification(payload["classification"]),
+                h_ratio=HRatio.parse(str(payload["h_ratio"])),
+                simplex_multiplicity=int(payload["simplex_multiplicity"]),
+            )
+        except TypeError as exc:  # a count that is not a JSON number
+            raise ValueError(f"bad field type: {exc}") from exc
 
 
 class Shard:
@@ -143,21 +148,29 @@ def _combine(a: MmsRecord, b: MmsRecord) -> MmsRecord:
     )
 
 
+def _read_records(path: str) -> Iterator[tuple[int, int, MmsRecord]]:
+    """(line number, byte offset, record) for each non-blank line of a shard
+    or store; a malformed line raises StoreFormatError naming path and line."""
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.decode("utf-8").strip()
+            if line:
+                try:
+                    rec = MmsRecord.from_json(line)
+                except (ValueError, KeyError) as exc:
+                    raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
+                yield lineno, offset, rec
+            offset += len(raw)
+
+
 def _iter_shard(path: str) -> Iterator[tuple[str, MmsRecord]]:
     last_key: str | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = MmsRecord.from_json(line)
-            except (ValueError, KeyError) as exc:
-                raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if last_key is not None and rec.key <= last_key:
-                raise StoreFormatError(f"{path}:{lineno}: keys out of order")
-            last_key = rec.key
-            yield rec.key, rec
+    for lineno, _, rec in _read_records(path):
+        if last_key is not None and rec.key <= last_key:
+            raise StoreFormatError(f"{path}:{lineno}: keys out of order")
+        last_key = rec.key
+        yield rec.key, rec
 
 
 def merge(shard_paths: Iterable[str], out_path: str, audit: bool = True) -> "Store":
@@ -243,14 +256,7 @@ class Store:
                     except ValueError as exc:
                         raise StoreFormatError(f"{idx_path}:{lineno}: bad index line") from exc
         else:
-            offset = 0
-            with open(path, "rb") as fh:
-                for raw in fh:
-                    line = raw.decode("utf-8").strip()
-                    if line:
-                        rec = MmsRecord.from_json(line)
-                        index.append((rec.key, offset))
-                    offset += len(raw)
+            index = [(rec.key, offset) for _, offset, rec in _read_records(path)]
         return cls(path, index)
 
     def __len__(self) -> int:
@@ -274,15 +280,7 @@ class Store:
             return MmsRecord.from_json(fh.readline())
 
     def __iter__(self) -> Iterator[MmsRecord]:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield MmsRecord.from_json(line)
-                except (ValueError, KeyError) as exc:
-                    raise StoreFormatError(f"{self.path}:{lineno}: bad record: {exc}") from exc
+        return (rec for _, _, rec in _read_records(self.path))
 
 
 @dataclass(frozen=True)

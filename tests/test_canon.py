@@ -186,3 +186,34 @@ def test_canonical_key_invariant_under_coordinate_maps(delta, data):
 def test_canonical_key_invariant_under_even_translation(delta):
     shifted = delta.translated((2,) * delta.ambient_dim)
     assert canonical_key(shifted) == canonical_key(delta)
+
+
+def reference_key(delta):
+    """Least serialized HNF over every column order of the generator matrix,
+    computed here without the library's orbit table."""
+    g = generator_matrix(delta)
+    return min(
+        serialize_matrix(hnf(tuple(tuple(row[p] for p in perm) for row in g)))
+        for perm in itertools.permutations(range(len(g)))
+    )
+
+
+@given(small_simplices(full_dim_only=True), st.data())
+def test_cached_keys_match_uncached_reference(delta, data):
+    n = delta.ambient_dim
+    want = reference_key(delta)
+    u = data.draw(unimodular_matrices(n))
+    # non-negative, so the translated origin stays the anchor (lex-minimal)
+    shift = tuple(data.draw(st.sampled_from((0, 2, 4))) for _ in range(n))
+    # the first call may fill the orbit table; the images then resolve by hits
+    for image in (delta, delta.transformed(u), delta.translated(shift)):
+        key = canonical_key(image)
+        assert key.key_text == reference_key(image) == want
+        assert serialize_matrix(key.hnf) == want
+        assert equivalent(delta, image)
+    scaled = delta.transformed([[3 * (i == j) for j in range(n)] for i in range(n)])
+    assert reference_key(scaled) != want
+    assert not equivalent(delta, scaled)
+    other = data.draw(small_simplices(full_dim_only=True))
+    if other.ambient_dim == n:
+        assert equivalent(delta, other) == (reference_key(other) == want)

@@ -22,15 +22,16 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args):
-    """Run ``python *args`` in a child process that imports this same mms."""
+def run_python(*args, **kwargs):
+    """Run ``python *args`` in a child process that imports this same mms;
+    keyword arguments go to ``subprocess.run``."""
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE_ROOT)] + ([inherited] if inherited else [])
     )
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
     )
 
 
@@ -130,6 +131,57 @@ def test_mms_bad_input_line(capsys, tmp_path):
     code, _, err = run_main(capsys, "mms", "--in", path)
     assert code == EXIT_INVALID
     assert ":1: bad input line" in err
+
+
+GOOD_RECORD = {
+    "key": "2x2w1:2,4;0,6",
+    "representative": "0,0;2,4;4,2",
+    "mms_size": 6,
+    "conv_count": 7,
+    "floor_count": 6,
+    "classification": "M",
+    "h_ratio": "0/4",
+    "simplex_multiplicity": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["check-sos", "--delta", "0,0;2,4;4,2", "--terms"], '["2,2"]', "must be a JSON object"),
+        (["check-sos", "--delta", "0,0;2,4;4,2", "--terms"], '[{"beta": 5}]', "not a string"),
+        (["mms", "--in"], '["0,0;2,4;4,2"]\n', "must be a JSON object"),
+        (["mms", "--in"], '{"delta": 5}\n', "not a string"),
+        (["stats", "--store"], "[1]\n", "must be a JSON object"),
+        (["stats", "--store"], json.dumps({**GOOD_RECORD, "mms_size": [6]}), "bad field type"),
+    ],
+    ids=["term-list", "beta-int", "line-list", "delta-int", "record-list", "count-list"],
+)
+def test_malformed_json_input_exits_invalid(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code, out, err = run_main(capsys, *argv, str(path))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith(f"mms: error: {path}") and err.count("\n") == 1
+    assert message in err
+
+
+def test_out_of_memory_exits_with_one_line(monkeypatch):
+    import resource
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    proc = run_python(
+        "-m", "mms.cli", "mms", "--delta", "0,0;2000000,0;0,2000000",
+        preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("mms: error: out of memory")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_mms_requires_exactly_one_source(capsys, tmp_path):

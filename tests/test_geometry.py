@@ -24,6 +24,7 @@ from mms.geometry import (
     parse_point,
     strictly_interior,
     _affine_frame,
+    _box_grid,
     _det_and_adjugate,
     _integral_points,
     _nonneg_ball,
@@ -225,11 +226,14 @@ def test_even_lattice_points_motzkin():
 
 
 def test_nonneg_ball_counts():
-    # points of 1-norm <= deg in N^n number C(n+deg, n)
-    import math
-
-    for n, deg in [(1, 3), (2, 4), (3, 5), (4, 3)]:
-        assert len(_nonneg_ball(n, deg)) == math.comb(n + deg, n)
+    # points of 1-norm <= deg in N^n number C(n+deg, n); the rows are those
+    # of the box [0, deg]^n, filtered, in the same lex order
+    for n, deg in [(1, 0), (1, 3), (2, 4), (3, 5), (4, 3), (5, 0)]:
+        ball = _nonneg_ball(n, deg)
+        grid = _box_grid([0] * n, [deg] * n)
+        assert ball.dtype == np.int64
+        assert len(ball) == math.comb(n + deg, n)
+        assert ball.tolist() == grid[grid.sum(axis=1) <= deg].tolist()
 
 
 @given(small_simplices())

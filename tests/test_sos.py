@@ -12,6 +12,7 @@ from mms.sos import (
     Parity,
     Sign,
     SimplexSupportedPoly,
+    _MEMO_SIZE,
     _memo,
     circuit_is_sos,
     parity_of,
@@ -134,6 +135,18 @@ def test_memo_separates_simplices_sharing_a_key():
 def test_memo_is_stable_across_calls():
     first = _memo.mms_of(MOTZKIN)
     assert _memo.mms_of(MOTZKIN) is first
+
+
+def test_memo_evicts_least_recently_used():
+    segments = [SimplicialSet.parse(f"0;{2 * k}") for k in range(1, _MEMO_SIZE + 2)]
+    for seg in segments[:-1]:
+        _memo.mms_of(seg)
+    _memo.mms_of(segments[0])  # now the most recently used
+    _memo.mms_of(segments[-1])
+    assert len(_memo._by_key) == _MEMO_SIZE
+    assert segments[0] in _memo._by_key
+    assert segments[1] not in _memo._by_key
+    assert _memo.mms_of(segments[1]) == frozenset(mms_removal(segments[1]))
 
 
 @settings(max_examples=40, deadline=None)
