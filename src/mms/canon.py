@@ -162,10 +162,14 @@ def canonical_key_of_matrix(m: Matrix) -> CanonicalLatticeKey:
 
 
 def canonical_key(delta: SimplicialSet) -> CanonicalLatticeKey:
-    """Canonical key of a full-dimensional simplex's lattice.  Two simplices
-    get equal keys iff their lattices agree up to a coordinate permutation,
-    i.e. iff one simplex is the image of the other under a unimodular map
-    plus even translation."""
+    """Canonical key of a full-dimensional simplex's lattice, the lattice of
+    :func:`generator_matrix`, anchored at the origin vertex (or, without
+    one, at the lex-least vertex).  Two simplices get equal keys iff their
+    anchored lattices agree up to a coordinate permutation.  So the key is
+    invariant under a unimodular map plus an even translation that sends
+    the anchor to the image's anchor.  A map that anchors another vertex
+    can change it: ``0,0;0,2;4,0`` has key ``2x2w1:2,0;0,4``, and its image
+    ``-2,0;-2,4;0,0`` under (x, y) -> (y - 2, x) has ``2x2w1:2,2;0,4``."""
     if delta.simplex_dim != delta.ambient_dim:
         raise ValueError("canonical key requires a full-dimensional simplex")
     return canonical_key_of_matrix(generator_matrix(delta))

@@ -24,6 +24,13 @@ The removal form, used at scale, is an array kernel on the even points only:
 
 The partner test and the pair sums run in blocks of at most ``_BLOCK``
 entries, so beyond the k codes and the closure itself memory stays bounded.
+
+A class is described by three counts: #MMS, #conv (all lattice points of
+the hull) and #floor (the vertices and their pairwise midpoints).  The
+classification and the h-ratio are functions of them (:func:`classify`,
+:func:`h_ratio`).  :func:`compute_mms` gets all three from one hull scan:
+the scan's row count is #conv, its even rows halved are the kernel's input,
+and #floor has a closed form.
 """
 from __future__ import annotations
 
@@ -31,7 +38,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import comb, prod
+from typing import Protocol
 
 import numpy as np
 
@@ -41,7 +49,6 @@ from .geometry import (
     SimplicialSet,
     _half_vertices,
     _integral_points,
-    even_lattice_points,
     lattice_points,
     midpoint_set,
 )
@@ -86,7 +93,8 @@ class HRatio:
 
 
 def floor_set(delta: SimplicialSet) -> set[Point]:
-    """The lower bound: vertices together with their pairwise midpoints."""
+    """The lower bound: vertices together with their pairwise midpoints.
+    Kept as an oracle; :func:`compute_mms` counts it in closed form."""
     return set(delta.points) | midpoint_set(delta.points)
 
 
@@ -112,15 +120,18 @@ def mms_removal(delta: SimplicialSet) -> set[Point]:
     the fixed-point iteration give: the maximal mediated set's even part is
     the unique greatest set fixed by the round, and a point with no witness
     pair in L has none in any subset of L, so no round deletes a point of it.
+    The kernel reads the scan of the half-scaled simplex, whose candidate
+    box or ball in Z^n is about 2^n times smaller than the full hull's: a
+    caller that needs no hull count, such as an SOS decision, pays only for
+    that scan (:func:`compute_mms` reads the full scan instead).
     Beyond the result, memory is O(k) for k even points plus blocks of at
     most ``_BLOCK`` entries.
     """
-    q = np.array(even_lattice_points(delta), dtype=np.int64) // 2
-    half = np.array(_half_vertices(delta), dtype=np.int64)
-    return set(map(tuple, _removal_kernel(q, half).tolist()))
+    half = _half_vertices(delta)
+    return set(map(tuple, _removal_kernel(_integral_points(half), half).tolist()))
 
 
-def _removal_kernel(q: np.ndarray, half: np.ndarray) -> np.ndarray:
+def _removal_kernel(q: np.ndarray, half: tuple[Point, ...]) -> np.ndarray:
     """The removal on the halved even points ``q`` (lex-sorted) with halved
     vertices ``half``; returns the maximal mediated set as a lex-sorted int64
     array (see the module docstring for the codes, rounds and closure)."""
@@ -130,7 +141,8 @@ def _removal_kernel(q: np.ndarray, half: np.ndarray) -> np.ndarray:
     weights = np.array([prod(radix[i + 1 :]) for i in range(len(radix))], dtype=dtype)
     codes = (q - lo).astype(dtype) @ weights
     fixed = np.zeros(len(codes), dtype=bool)
-    fixed[np.searchsorted(codes, (half - lo).astype(dtype) @ weights)] = True
+    vertex_codes = (np.array(half, dtype=np.int64) - lo).astype(dtype) @ weights
+    fixed[np.searchsorted(codes, vertex_codes)] = True
     while True:
         loose = ~fixed
         found = _witnessed(codes, codes[loose])
@@ -187,10 +199,6 @@ class MmsResult:
         return len(self.mms_points)
 
     @property
-    def both_bounds_equal(self) -> bool:
-        return self.floor_count == self.conv_count
-
-    @property
     def classification(self) -> Classification:
         return classify(self)
 
@@ -220,44 +228,72 @@ class MmsResult:
             conv_count=int(payload["conv_count"]),
             floor_count=int(payload["floor_count"]),
         )
-        if result.classification.value != payload["classification"]:
-            raise ValueError("classification does not match stored counts")
-        if str(result.h_ratio) != payload["h_ratio"]:
-            raise ValueError("h-ratio does not match stored counts")
+        _check_derived(result, payload)
         return result
 
 
-def classify(result: MmsResult) -> Classification:
+class ClassCounts(Protocol):
+    """The three counts that determine a class: an :class:`MmsResult` or a
+    store record."""
+
+    @property
+    def mms_size(self) -> int: ...
+
+    @property
+    def conv_count(self) -> int: ...
+
+    @property
+    def floor_count(self) -> int: ...
+
+
+def classify(counts: ClassCounts) -> Classification:
     # when floor == conv both labels apply; H wins the tie
-    if result.mms_size == result.conv_count:
+    if counts.mms_size == counts.conv_count:
         return Classification.H
-    if result.mms_size == result.floor_count:
+    if counts.mms_size == counts.floor_count:
         return Classification.M
     return Classification.INTERMEDIATE
 
 
-def h_ratio(result: MmsResult) -> HRatio:
-    den = result.conv_count - result.floor_count
+def h_ratio(counts: ClassCounts) -> HRatio:
+    den = counts.conv_count - counts.floor_count
     if den == 0:
         return HRatio(0, 0)
-    return HRatio(result.mms_size - result.floor_count, den)
+    return HRatio(counts.mms_size - counts.floor_count, den)
+
+
+def _check_derived(counts: ClassCounts, payload: dict) -> None:
+    """Raise ValueError when the stored ``classification`` or ``h_ratio`` of
+    a JSON payload disagrees with the counts they are derived from."""
+    if classify(counts).value != payload["classification"]:
+        raise ValueError("classification does not match stored counts")
+    if str(h_ratio(counts)) != payload["h_ratio"]:
+        raise ValueError("h-ratio does not match stored counts")
 
 
 def compute_mms(delta: SimplicialSet, method: str = "removal") -> MmsResult:
-    """Full MMS computation: points, bound counts, classification inputs.
+    """The MMS of ``delta`` as lex-sorted points, with its bound counts.
 
     method selects the algorithm ("removal" is the fast default,
-    "fixed-point" the literal closure iteration).
+    "fixed-point" the literal closure iteration, kept as an oracle).  Both
+    take ``conv_count`` from one scan of the hull.  The removal kernel reads
+    that scan's even rows, halved: p is even and in conv(delta) iff p/2 is
+    in the half-scaled simplex, and the rows stay lex-sorted.
     """
+    pts = _integral_points(delta.points)
     if method == "removal":
-        mms_points = tuple(sorted(mms_removal(delta)))
+        evens = pts[(pts % 2 == 0).all(axis=1)] // 2
+        mms_points = tuple(map(tuple, _removal_kernel(evens, _half_vertices(delta)).tolist()))
     elif method == "fixed-point":
         mms_points = tuple(sorted(mms_fixed_point(delta)))
     else:
         raise ValueError(f"unknown method {method!r}")
+    # the k + 1 vertices and the midpoints of distinct vertex pairs have
+    # pairwise distinct barycentric coordinates, so the floor has
+    # (k + 1) + C(k + 1, 2) = C(k + 2, 2) points
     return MmsResult(
         delta=delta,
         mms_points=mms_points,
-        conv_count=len(_integral_points(delta.points)),
-        floor_count=len(floor_set(delta)),
+        conv_count=len(pts),
+        floor_count=comb(delta.simplex_dim + 2, 2),
     )

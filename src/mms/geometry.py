@@ -133,11 +133,6 @@ class SimplicialSet:
     def max_degree(self) -> int:
         return max(one_norm(p) for p in self.points)
 
-    @property
-    def is_trellis(self) -> bool:
-        """True when all members share the same 1-norm."""
-        return len({one_norm(p) for p in self.points}) == 1
-
     def translated(self, offset: Sequence[int]) -> "SimplicialSet":
         # translation preserves lex order, so sortedness survives
         return SimplicialSet(
@@ -270,7 +265,8 @@ def _det_and_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]
     return sign * prev, [[sign * x for x in row[n:]] for row in aug]
 
 
-def _affine_frame(verts: Sequence[Point]) -> tuple[int, list[list[int]], list[list[int]]]:
+@lru_cache(maxsize=256)
+def _affine_frame(verts: tuple[Point, ...]) -> tuple[int, tuple[Point, ...], tuple[Point, ...]]:
     """Integer frame ``(det, weights, edges)`` of the k-simplex ``verts`` in Z^n.
 
     The edges e_i = v_i - v_0 are reduced with :func:`_reduce_against`; the
@@ -281,11 +277,13 @@ def _affine_frame(verts: Sequence[Point]) -> tuple[int, list[list[int]], list[li
     lam_i = y_i / det (i = 1..k) and lam_0 = 1 - sum(lam), with
     y = (x - v_0) weights.  ``det`` is made positive and ``det`` and the
     adjugate are divided by their gcd, which leaves every lam unchanged.
+    Cached per vertex tuple, so repeated point tests on one simplex build one
+    frame; the matrices are tuples because every caller shares them.
     Raises ValueError when ``verts`` are affinely dependent.
     """
     base = verts[0]
     n = len(base)
-    edges = [[a - b for a, b in zip(v, base)] for v in verts[1:]]
+    edges = tuple(tuple(a - b for a, b in zip(v, base)) for v in verts[1:])
     basis: list[list[int]] = []
     pivots: list[int] = []
     for e in edges:
@@ -298,13 +296,13 @@ def _affine_frame(verts: Sequence[Point]) -> tuple[int, list[list[int]], list[li
     g = gcd(det, *(x for row in adj for x in row))
     if det < 0:
         g = -g
-    weights = [[0] * len(edges) for _ in range(n)]
+    weights = [(0,) * len(edges)] * n
     for j, p in enumerate(pivots):
-        weights[p] = [row[j] // g for row in adj]
-    return det // g, weights, edges
+        weights[p] = tuple(row[j] // g for row in adj)
+    return det // g, tuple(weights), edges
 
 
-def _hull_mask(verts: Sequence[Point], pts: np.ndarray, strict: bool = False) -> np.ndarray:
+def _hull_mask(verts: tuple[Point, ...], pts: np.ndarray, strict: bool = False) -> np.ndarray:
     """Mask of the rows x of the integer array ``pts`` that lie in
     conv(verts), or in its relative interior when ``strict``.
 
@@ -356,10 +354,11 @@ def _half_vertices(delta: SimplicialSet) -> tuple[Point, ...]:
 
 
 def even_lattice_points(delta: SimplicialSet) -> list[Point]:
-    """Even integral points of conv(delta), lex-sorted.
+    """Even integral points of conv(delta), lex-sorted, as tuples.
 
     p is even and in conv(delta) iff p/2 lies in the half-scaled simplex, so
-    the scan runs over the (much smaller) half simplex.
+    the scan runs over the (much smaller) half simplex.  Public API only:
+    the MMS kernel reads the same points as an array, without this list.
     """
     return list(map(tuple, (2 * _integral_points(_half_vertices(delta))).tolist()))
 

@@ -8,8 +8,8 @@ merge keeps the least vertex tuple again, so the merged representative is
 the tuple-minimal simplex of its class over the whole run (every simplex
 enumerated, or every sample drawn), however the work was distributed.
 Canonical keys resolve through the orbit table in :mod:`mms.canon`; the
-per-process key -> class invariants cache only skips recomputation of
-values that are equal across each lattice class by invariance.
+per-process key -> (#MMS, #conv, #floor) cache only skips recomputation of
+counts that are equal across each lattice class by invariance.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .canon import Matrix, _key_of_hnf, hnf
-from .engine import Classification, HRatio, compute_mms
+from .engine import Classification, compute_mms
 from .enumeration import _iter_full_rank_sets, vertex_list
 from .geometry import Point, SimplicialSet
 from .sampler import sample_simplex
@@ -77,36 +77,30 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# per-process cache (safe: cached values are invariants of the lattice class)
+# per-process cache of the three class counts (mms_size, conv_count,
+# floor_count): they are invariants of the lattice class, and a record's
+# classification and h-ratio are derived from them
 
-_class_invariants: dict[str, tuple[int, int, int, Classification, HRatio]] = {}
+_class_invariants: dict[str, tuple[int, int, int]] = {}
 
 
-def _invariants_for(key: str, delta: SimplicialSet):
+def _invariants_for(key: str, delta: SimplicialSet) -> tuple[int, int, int]:
     inv = _class_invariants.get(key)
     if inv is None:
         result = compute_mms(delta)
-        inv = (
-            result.mms_size,
-            result.conv_count,
-            result.floor_count,
-            result.classification,
-            result.h_ratio,
-        )
+        inv = (result.mms_size, result.conv_count, result.floor_count)
         _class_invariants[key] = inv
     return inv
 
 
 def _record(key: str, rep: SimplicialSet, multiplicity: int) -> MmsRecord:
-    mms_size, conv_count, floor_count, classification, h_rat = _invariants_for(key, rep)
+    mms_size, conv_count, floor_count = _invariants_for(key, rep)
     return MmsRecord(
         key=key,
         representative=str(rep),
         mms_size=mms_size,
         conv_count=conv_count,
         floor_count=floor_count,
-        classification=classification,
-        h_ratio=h_rat,
         simplex_multiplicity=multiplicity,
     )
 

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .enumeration import vertex_list
-from .geometry import Point, SimplicialSet, linear_rank
+from .geometry import SimplicialSet, linear_rank
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,6 @@ def _rng_for_index(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     )
-
-
-def uniform_point(n: int, two_d: int, rng: np.random.Generator) -> Point:
-    """One point, uniform over the lex-ordered even nonzero points of
-    1-norm <= 2d (a uniform index into the list; no box rejection)."""
-    rows = vertex_list(n, two_d).rows
-    return rows[int(rng.integers(0, len(rows)))]
 
 
 def sample_simplex(

@@ -2,9 +2,12 @@
 deterministic merge, offset-indexed lookup, statistics, export.
 
 One record per canonical lattice key.  A record stores one representative
-simplex plus the counts that are invariants of the key's equivalence class;
-simplicial-set statistics are recovered by multiplicity weighting instead of
-storing every simplex.
+simplex plus the three counts that are invariants of the key's equivalence
+class (#MMS, #conv, #floor); simplicial-set statistics are recovered by
+multiplicity weighting instead of storing every simplex.  The classification
+and h-ratio of a record are derived from its counts: they are written to
+each line for readers, and a line whose stored values disagree with its
+counts is rejected as malformed.
 """
 from __future__ import annotations
 
@@ -14,12 +17,12 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .engine import Classification, HRatio, MmsResult, compute_mms
+from .engine import Classification, HRatio, _check_derived, classify, compute_mms, h_ratio
 from .geometry import SimplicialSet, parse_point
 
 HISTOGRAM_BINS = 20
@@ -46,22 +49,15 @@ class MmsRecord:
     mms_size: int
     conv_count: int
     floor_count: int
-    classification: Classification
-    h_ratio: HRatio
     simplex_multiplicity: int
 
-    @classmethod
-    def from_result(cls, key: str, result: MmsResult, multiplicity: int = 1) -> "MmsRecord":
-        return cls(
-            key=key,
-            representative=str(result.delta),
-            mms_size=result.mms_size,
-            conv_count=result.conv_count,
-            floor_count=result.floor_count,
-            classification=result.classification,
-            h_ratio=result.h_ratio,
-            simplex_multiplicity=multiplicity,
-        )
+    @property
+    def classification(self) -> Classification:
+        return classify(self)
+
+    @property
+    def h_ratio(self) -> HRatio:
+        return h_ratio(self)
 
     def to_json(self) -> str:
         payload = {
@@ -78,22 +74,24 @@ class MmsRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "MmsRecord":
+        """Parse one line; ValueError when it is malformed or its stored
+        classification or h-ratio disagrees with its counts."""
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise ValueError("a record must be a JSON object")
         try:
-            return cls(
+            rec = cls(
                 key=str(payload["key"]),
                 representative=str(payload["representative"]),
                 mms_size=int(payload["mms_size"]),
                 conv_count=int(payload["conv_count"]),
                 floor_count=int(payload["floor_count"]),
-                classification=Classification(payload["classification"]),
-                h_ratio=HRatio.parse(str(payload["h_ratio"])),
                 simplex_multiplicity=int(payload["simplex_multiplicity"]),
             )
         except TypeError as exc:  # a count that is not a JSON number
             raise ValueError(f"bad field type: {exc}") from exc
+        _check_derived(rec, payload)
+        return rec
 
 
 class Shard:
@@ -128,22 +126,15 @@ def _combine(a: MmsRecord, b: MmsRecord) -> MmsRecord:
                 f"records for key {a.key} disagree on {field}: "
                 f"{getattr(a, field)} vs {getattr(b, field)}"
             )
-    if a.classification != b.classification or str(a.h_ratio) != str(b.h_ratio):
-        raise StoreAuditError(f"records for key {a.key} disagree on derived fields")
     # keep the least vertex tuple, the order shards pick representatives in
     rep = min(
         a.representative,
         b.representative,
         key=lambda text: tuple(map(parse_point, text.split(";"))),
     )
-    return MmsRecord(
-        key=a.key,
+    return replace(
+        a,
         representative=rep,
-        mms_size=a.mms_size,
-        conv_count=a.conv_count,
-        floor_count=a.floor_count,
-        classification=a.classification,
-        h_ratio=a.h_ratio,
         simplex_multiplicity=a.simplex_multiplicity + b.simplex_multiplicity,
     )
 
@@ -216,16 +207,9 @@ def merge(shard_paths: Iterable[str], out_path: str, audit: bool = True) -> "Sto
 
 
 def _audit_record(rec: MmsRecord) -> None:
-    delta = SimplicialSet.parse(rec.representative)
-    result = compute_mms(delta)
-    ok = (
-        result.mms_size == rec.mms_size
-        and result.conv_count == rec.conv_count
-        and result.floor_count == rec.floor_count
-        and result.classification == rec.classification
-        and str(result.h_ratio) == str(rec.h_ratio)
-    )
-    if not ok:
+    result = compute_mms(SimplicialSet.parse(rec.representative))
+    counts = (result.mms_size, result.conv_count, result.floor_count)
+    if counts != (rec.mms_size, rec.conv_count, rec.floor_count):
         raise StoreAuditError(
             f"audit failed for key {rec.key}: representative {rec.representative} "
             f"recomputes to size={result.mms_size} conv={result.conv_count} "
@@ -275,9 +259,14 @@ class Store:
                 hi = mid
         if lo == len(self._index) or self._index[lo][0] != key:
             return None
+        offset = self._index[lo][1]
         with open(self.path, "r", encoding="utf-8") as fh:
-            fh.seek(self._index[lo][1])
-            return MmsRecord.from_json(fh.readline())
+            fh.seek(offset)
+            line = fh.readline()
+        try:
+            return MmsRecord.from_json(line)
+        except (ValueError, KeyError) as exc:
+            raise StoreFormatError(f"{self.path}: offset {offset}: bad record: {exc}") from exc
 
     def __iter__(self) -> Iterator[MmsRecord]:
         return (rec for _, _, rec in _read_records(self.path))

@@ -137,7 +137,7 @@ GOOD_RECORD = {
     "key": "2x2w1:2,4;0,6",
     "representative": "0,0;2,4;4,2",
     "mms_size": 6,
-    "conv_count": 7,
+    "conv_count": 10,
     "floor_count": 6,
     "classification": "M",
     "h_ratio": "0/4",
@@ -154,8 +154,21 @@ GOOD_RECORD = {
         (["mms", "--in"], '{"delta": 5}\n', "not a string"),
         (["stats", "--store"], "[1]\n", "must be a JSON object"),
         (["stats", "--store"], json.dumps({**GOOD_RECORD, "mms_size": [6]}), "bad field type"),
+        (
+            ["stats", "--store"],
+            json.dumps({**GOOD_RECORD, "classification": "H", "h_ratio": "4/4"}),
+            "classification does not match stored counts",
+        ),
     ],
-    ids=["term-list", "beta-int", "line-list", "delta-int", "record-list", "count-list"],
+    ids=[
+        "term-list",
+        "beta-int",
+        "line-list",
+        "delta-int",
+        "record-list",
+        "count-list",
+        "derived-mismatch",
+    ],
 )
 def test_malformed_json_input_exits_invalid(capsys, tmp_path, argv, content, message):
     path = tmp_path / "input.json"

@@ -90,10 +90,17 @@ def test_degenerate_denominator_counts_as_h():
     # floor == conv: both labels apply, H wins and the ratio is 1
     seg = SimplicialSet.parse("0;2")
     result = compute_mms(seg)
-    assert result.both_bounds_equal
+    assert result.floor_count == result.conv_count
     assert result.classification is Classification.H
     assert result.h_ratio.value == 1
     assert str(result.h_ratio) == "0/0"
+
+
+def test_single_vertex_is_its_own_mms():
+    # a 0-simplex: the vertex is the hull, the floor and the MMS
+    result = compute_mms(SimplicialSet.of([(2, 4)]))
+    assert result.mms_points == ((2, 4),)
+    assert result.mms_size == result.conv_count == result.floor_count == 1
 
 
 def test_floor_set_is_vertices_plus_midpoints():
@@ -143,7 +150,10 @@ def test_removal_in_small_blocks_and_python_int_codes(delta, block, python_ints)
         mp.setattr(engine, "_BLOCK", block)
         if python_ints:
             mp.setattr(engine, "_INT64_SAFE", 0)
-        assert mms_removal(delta) == mms_fixed_point(delta)
+        mms = mms_fixed_point(delta)
+        assert mms_removal(delta) == mms
+        # compute_mms feeds the kernel the even rows of its own full scan
+        assert compute_mms(delta).mms_points == tuple(sorted(mms))
 
 
 def test_removal_past_int64_codes():
@@ -190,7 +200,7 @@ def test_h_ratio_is_within_unit_interval(delta):
     assert 0 <= result.h_ratio.value <= 1
     if result.classification is Classification.H:
         assert result.h_ratio.value == 1
-    if result.classification is Classification.M and not result.both_bounds_equal:
+    if result.classification is Classification.M and result.floor_count != result.conv_count:
         assert result.h_ratio.value == 0
 
 

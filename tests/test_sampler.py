@@ -1,17 +1,14 @@
 """Seeded sampling: substream determinism and sample validity."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mms.enumeration import vertex_list
-from mms.geometry import is_even_point, one_norm
+from mms.geometry import is_even_point
 from mms.sampler import (
     SamplerConfig,
     sample_simplex,
     sample_stream,
-    uniform_point,
 )
 
 
@@ -111,26 +108,3 @@ def test_sampled_simplices_are_valid(n, two_d, seed, index):
     assert s.max_degree <= two_d
     for p in s.points:
         assert is_even_point(p)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=3),
-    two_d=st.sampled_from([2, 4, 6]),
-    seed=st.integers(min_value=0, max_value=2**32),
-)
-def test_uniform_point_draws_from_vertex_list(n, two_d, seed):
-    rows = set(vertex_list(n, two_d).rows)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(20):
-        p = uniform_point(n, two_d, rng)
-        assert p in rows
-        assert 0 < one_norm(p) <= two_d
-
-
-def test_uniform_point_covers_small_support():
-    # 5 candidate points at n=2, 2d=4; 200 draws hit all of them
-    rows = set(vertex_list(2, 4).rows)
-    rng = np.random.Generator(np.random.PCG64(0))
-    seen = {uniform_point(2, 4, rng) for _ in range(200)}
-    assert seen == rows

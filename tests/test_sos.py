@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings
 
+from mms import geometry
 from mms.engine import mms_removal
 from mms.geometry import SimplicialSet, lattice_points, strictly_interior
 from mms.sos import (
@@ -25,6 +26,24 @@ MOTZKIN = SimplicialSet.parse("0,0;2,4;4,2")
 HURWITZ = SimplicialSet.parse("0,0;0,4;4,0")
 HURWITZ_6 = SimplicialSet.parse("0,0;0,6;6,0")
 CHOI_LAM = SimplicialSet.parse("0,0,0;0,2,2;2,0,2;2,2,0")
+
+
+def test_point_tests_on_one_simplex_build_one_frame(monkeypatch):
+    calls = []
+    real = geometry._det_and_adjugate
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(geometry, "_det_and_adjugate", counted)
+    geometry._affine_frame.cache_clear()
+    betas = [(1, 1), (2, 2), (3, 2)]
+    SimplexSupportedPoly(MOTZKIN, tuple(InnerTerm.of(b, Sign.NEG) for b in betas))
+    for beta in betas:
+        CircuitSupport(MOTZKIN, beta)
+    # six strictly_interior tests on one simplex share one frame
+    assert len(calls) == 1
 
 
 def test_parity_of():

@@ -31,8 +31,14 @@ DIM4 = SimplicialSet.parse("0,0,0,0;0,0,0,4;0,2,2,0;2,0,2,0;2,2,0,0")
 
 
 def record_for(delta, multiplicity=1):
-    return MmsRecord.from_result(
-        canonical_key(delta).key_text, compute_mms(delta), multiplicity
+    result = compute_mms(delta)
+    return MmsRecord(
+        key=canonical_key(delta).key_text,
+        representative=str(delta),
+        mms_size=result.mms_size,
+        conv_count=result.conv_count,
+        floor_count=result.floor_count,
+        simplex_multiplicity=multiplicity,
     )
 
 
@@ -65,6 +71,15 @@ def test_record_json_rejects_unknown_classification():
         MmsRecord.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field, value", [("classification", "H"), ("h_ratio", "1/4")])
+def test_record_json_rejects_derived_fields_that_disagree_with_counts(field, value):
+    # the counts 6, 10, 6 say M and 0/4
+    payload = json.loads(record_for(MOTZKIN).to_json())
+    payload[field] = value
+    with pytest.raises(ValueError, match="does not match stored counts"):
+        MmsRecord.from_json(json.dumps(payload))
+
+
 def test_shard_combines_same_key():
     sh = Shard()
     sh.put(record_for(MOTZKIN, 2))
@@ -81,11 +96,10 @@ def test_combine_keeps_tuple_minimal_representative():
     # the text order would keep "0,0;0,10;2,0" ("1" < "2"); (0, 2) < (0, 10)
     wide = SimplicialSet.parse("0,0;0,10;2,0")
     tall = SimplicialSet.parse("0,0;0,2;10,0")
-    key = canonical_key(wide).key_text
-    assert canonical_key(tall).key_text == key
+    assert canonical_key(tall) == canonical_key(wide)
     sh = Shard()
-    sh.put(MmsRecord.from_result(key, compute_mms(wide)))
-    sh.put(MmsRecord.from_result(key, compute_mms(tall)))
+    sh.put(record_for(wide))
+    sh.put(record_for(tall))
     (rec,) = sh._records.values()
     assert rec.representative == "0,0;0,2;10,0"
 
@@ -232,6 +246,18 @@ def test_store_open_rebuilds_missing_index(tmp_path):
     rebuilt = Store.open(out)
     assert rebuilt.keys() == with_idx.keys()
     assert rebuilt.get("2x2w1:2,4;0,6") == with_idx.get("2x2w1:2,4;0,6")
+
+
+def test_store_get_rejects_inconsistent_record(tmp_path):
+    out = str(tmp_path / "m.jsonl")
+    merge([golden_shard_path(tmp_path)], out)
+    with open(out) as fh:
+        text = fh.read()
+    # the Motzkin class: counts 6, 10, 6 say M; the same-length edit says H
+    with open(out, "w") as fh:
+        fh.write(text.replace('"classification":"M"', '"classification":"H"', 1))
+    with pytest.raises(StoreFormatError, match=f"{out}: offset 0: bad record"):
+        Store.open(out).get("2x2w1:2,4;0,6")
 
 
 @pytest.fixture()
