@@ -6,17 +6,21 @@ simplex change that matrix by left multiplication (same row span) and vertex
 reordering permutes columns, so the canonical key is the minimal HNF over
 all column permutations.
 
-Every key resolves through this module's per-process orbit table: the
-first matrix of a class pays one n! pass (:func:`hnf_orbit`) that maps each
-HNF of the orbit to the class key, later ones one HNF and a lookup.  The
-table never evicts: at most n! HNFs per distinct class seen.
+The HNF is row-style, one ``geometry._hnf_column`` step per column; the
+enumeration walk runs the same step and yields each simplex's HNF, so a
+census computes none here except in orbits.  Every key resolves through
+this module's per-process orbit table: the first HNF of a class pays one n!
+pass (:func:`hnf_orbit`) that maps each HNF of the orbit to the class key,
+later ones a lookup.  The orbit is ordered like the key text without
+formatting its members.  The table never evicts: at most n! HNFs per
+distinct class seen.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .geometry import SimplicialSet, _det_and_adjugate
+from .geometry import SimplicialSet, _det_and_adjugate, _hnf_pivots
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -47,43 +51,11 @@ def generator_matrix(delta: SimplicialSet) -> Matrix:
 def hnf(m: Matrix) -> Matrix:
     """Row-style Hermite normal form: H = U*M with U unimodular, pivots
     positive, entries below a pivot zero and entries above it reduced into
-    [0, pivot).  Rank-deficient inputs end with zero rows.
+    [0, pivot).  Rank-deficient inputs end with zero rows.  One
+    ``geometry._hnf_column`` step per column, left to right.
     """
     rows = [list(r) for r in m]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        # gcd loop: repeatedly reduce entries in this column below row r
-        while True:
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][col] != 0 and (piv is None or abs(rows[i][col]) < abs(rows[piv][col])):
-                    piv = i
-            if piv is None:
-                break
-            rows[r], rows[piv] = rows[piv], rows[r]
-            done = True
-            for i in range(r + 1, len(rows)):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // rows[r][col]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    if rows[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if rows[r][col] == 0:
-            continue
-        if rows[r][col] < 0:
-            rows[r] = [-a for a in rows[r]]
-        for i in range(r):
-            q = rows[i][col] // rows[r][col]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
+    _hnf_pivots(rows)
     return tuple(tuple(row) for row in rows)
 
 
@@ -120,14 +92,26 @@ class CanonicalLatticeKey:
         return self.key_bytes.decode("ascii")
 
 
+def _text_order(h: Matrix) -> tuple[str, tuple[int, ...]]:
+    """Sort key of a matrix in the order of its :func:`serialize_matrix`
+    text, for matrices of one shape with non-negative entries: the text is
+    "RxCwW:" then the entries zero-padded to width W, so it sorts by "W:"
+    (the ":" puts width 10 before width 1, as "w10" sorts before "w1:")
+    and then by the entries in row-major order."""
+    width = len(str(max(e for row in h for e in row)))
+    return f"{width}:", tuple(e for row in h for e in row)
+
+
 def hnf_orbit(m: Matrix) -> list[Matrix]:
-    """All distinct HNFs of column permutations of m, sorted by their
-    serialized form.  This is the complete set of plain HNFs occurring in
-    the equivalence class of the lattice, which is what makes it usable as
-    a lookup table; the first entry is the canonical representative."""
+    """All distinct HNFs of column permutations of the nonsingular square
+    matrix m, sorted in the order of their serialized text (compared by
+    :func:`_text_order`, without formatting any of them).  This is the
+    complete set of plain HNFs occurring in the equivalence class of the
+    lattice, which is what makes it usable as a lookup table; the first
+    entry is the canonical representative."""
     cols = transpose(m)
     seen = {hnf(transpose(perm)) for perm in itertools.permutations(cols)}
-    return sorted(seen, key=serialize_matrix)
+    return sorted(seen, key=_text_order)
 
 
 # every HNF of each column-permutation orbit seen -> that class's key
@@ -152,13 +136,20 @@ def _key_of_hnf(h: Matrix) -> str:
 
 
 def canonical_key_of_matrix(m: Matrix) -> CanonicalLatticeKey:
-    """Minimal serialized HNF over all column permutations of a generator
-    matrix.  The minimum is taken in the serialized text order, so it is
-    exactly the smallest key that can name this lattice class.  hnf(m) has
-    the orbit of m, as row operations commute with column permutations."""
+    """Minimal serialized HNF over all column permutations of a nonsingular
+    square generator matrix.  The minimum is taken in the serialized text
+    order, so it is exactly the smallest key that can name this lattice
+    class.  hnf(m) has the orbit of m, as row operations commute with column
+    permutations.  Raises ValueError for an empty, non-square or singular
+    matrix (the last row of hnf(m) is then zero)."""
     if not m or not m[0]:
         raise ValueError("empty matrix has no canonical key")
-    return _class_key(hnf(m))
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("canonical key requires a square matrix")
+    h = hnf(m)
+    if not any(h[-1]):
+        raise ValueError("canonical key requires a nonsingular matrix")
+    return _class_key(h)
 
 
 def canonical_key(delta: SimplicialSet) -> CanonicalLatticeKey:

@@ -2,10 +2,13 @@
 
 Points are plain tuples of ints; hull scans return lex-sorted int64 arrays.
 Everything here is exact integer arithmetic, with no floats and no Fraction
-left.  One integer affine frame (:func:`_affine_frame`: a pivot minor of the
-edge matrix, its determinant and adjugate from a fraction-free elimination)
-decides membership for simplices of every dimension, in the hull scan and
-in the point tests :func:`contains` and :func:`strictly_interior` alike.
+left, and it rests on two integer cores.  The Hermite normal form column
+step (:func:`_hnf_column`) is the only rank test: :func:`linear_rank`, the
+affine frame's pivot columns, ``canon.hnf`` and the enumeration walk all run
+it.  The fraction-free adjugate (:func:`_det_and_adjugate`) inverts the
+pivot minor.  One integer affine frame (:func:`_affine_frame`, built from
+both) decides membership for simplices of every dimension, in the hull scan
+and in the point tests :func:`contains` and :func:`strictly_interior` alike.
 Scans run in numpy on int64 when a bound shows they cannot overflow;
 otherwise the same formula runs on Python ints in numpy object arrays.
 """
@@ -48,33 +51,64 @@ def one_norm(point: Sequence[int]) -> int:
 
 
 def linear_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of a list of integer vectors (fraction-free elimination)."""
-    basis: list[list[int]] = []
+    """Rank over Q of a list of integer vectors: the number of pivot
+    columns of their Hermite normal form."""
+    return len(_hnf_pivots([list(v) for v in vectors]))
+
+
+def _hnf_column(rows: list[list[int]], r: int, j: int) -> int:
+    """One column step of the row-style Hermite normal form, in place.
+
+    Rows r and below are combined until only row r is nonzero in column j:
+    the entry of least |x| becomes the pivot and the others drop by floor
+    quotients, repeatedly (a gcd loop).  The pivot row is then made positive
+    at j and the rows above it are reduced into [0, pivot) at j.  Every
+    operation is unimodular and acts on whole rows.  Returns r + 1, or r
+    (with nothing changed) when column j is zero from row r down.
+    """
+    nrows = len(rows)
+    while True:
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][j] != 0 and (piv is None or abs(rows[i][j]) < abs(rows[piv][j])):
+                piv = i
+        if piv is None:
+            return r
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[j]
+        done = True
+        for i in range(r + 1, nrows):
+            if rows[i][j] != 0:
+                q = rows[i][j] // p
+                rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+                if rows[i][j] != 0:
+                    done = False
+        if done:
+            break
+    if p < 0:
+        prow = rows[r] = [-a for a in prow]
+        p = -p
+    for i in range(r):
+        q = rows[i][j] // p
+        if q:
+            rows[i] = [a - q * b for a, b in zip(rows[i], prow)]
+    return r + 1
+
+
+def _hnf_pivots(rows: list[list[int]]) -> list[int]:
+    """Bring ``rows`` to row-style Hermite normal form in place, one
+    :func:`_hnf_column` step per column from left to right, and return the
+    pivot columns: the lex-first set of linearly independent columns."""
     pivots: list[int] = []
-    for vec in vectors:
-        red = _reduce_against(basis, pivots, vec)
-        if red is not None:
-            row, col = red
-            basis.append(row)
-            pivots.append(col)
-    return len(basis)
-
-
-def _reduce_against(
-    basis: list[list[int]], pivots: list[int], vec: Sequence[int]
-) -> tuple[list[int], int] | None:
-    """Cross-multiply ``vec`` against pivot rows; return (reduced row, pivot col)
-    or None when the vector is linearly dependent on the basis."""
-    v = list(vec)
-    for row, c in zip(basis, pivots):
-        vc = v[c]
-        if vc:
-            rc = row[c]
-            v = [rc * x - vc * y for x, y in zip(v, row)]
-    for c, x in enumerate(v):
-        if x:
-            return v, c
-    return None
+    r = 0
+    for j in range(len(rows[0]) if rows else 0):
+        if r == len(rows):
+            break
+        if _hnf_column(rows, r, j) > r:
+            pivots.append(j)
+            r += 1
+    return pivots
 
 
 def affinely_independent(points: Sequence[Point]) -> bool:
@@ -269,9 +303,11 @@ def _det_and_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]
 def _affine_frame(verts: tuple[Point, ...]) -> tuple[int, tuple[Point, ...], tuple[Point, ...]]:
     """Integer frame ``(det, weights, edges)`` of the k-simplex ``verts`` in Z^n.
 
-    The edges e_i = v_i - v_0 are reduced with :func:`_reduce_against`; the
-    reduced rows are triangular on their pivot columns P, so the k x k minor
-    A = (e_i[p])_{p in P, i} of the edges is nonsingular.  ``weights`` is the
+    The pivot columns P of the Hermite normal form of the edges
+    e_i = v_i - v_0 (:func:`_hnf_pivots`) are the lex-first k independent
+    coordinate columns, so the k x k minor A = (e_i[p])_{p in P, i} of the
+    edges is nonsingular; its determinant and adjugate come from
+    :func:`_det_and_adjugate`.  ``weights`` is the
     n x k matrix whose rows P hold adj(A)^T and whose other rows are zero, so
     a point x of the affine hull has barycentric coordinates
     lam_i = y_i / det (i = 1..k) and lam_0 = 1 - sum(lam), with
@@ -284,14 +320,9 @@ def _affine_frame(verts: tuple[Point, ...]) -> tuple[int, tuple[Point, ...], tup
     base = verts[0]
     n = len(base)
     edges = tuple(tuple(a - b for a, b in zip(v, base)) for v in verts[1:])
-    basis: list[list[int]] = []
-    pivots: list[int] = []
-    for e in edges:
-        red = _reduce_against(basis, pivots, e)
-        if red is None:
-            raise ValueError("points are affinely dependent")
-        basis.append(red[0])
-        pivots.append(red[1])
+    pivots = _hnf_pivots([list(e) for e in edges])
+    if len(pivots) < len(edges):
+        raise ValueError("points are affinely dependent")
     det, adj = _det_and_adjugate([[e[p] for e in edges] for p in pivots])
     g = gcd(det, *(x for row in adj for x in row))
     if det < 0:

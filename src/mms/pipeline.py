@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 from . import __version__
-from .canon import Matrix, _key_of_hnf, hnf
+from .canon import _key_of_hnf, hnf, transpose
 from .engine import Classification, compute_mms
 from .enumeration import _iter_full_rank_sets, vertex_list
 from .geometry import Point, SimplicialSet
@@ -34,6 +34,7 @@ from .store import (
     StatsScope,
     StatsSummary,
     Store,
+    atomic_open,
     merge,
     stats,
     stats_csv,
@@ -55,7 +56,7 @@ class RunManifest:
     status: str
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             json.dump(dataclasses.asdict(self), fh, indent=2)
             fh.write("\n")
 
@@ -120,20 +121,19 @@ def _aggregate_to_shard(
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
     rows = vertex_list(n, two_d).rows
-    by_hnf: dict[Matrix, list] = {}
-    for idx in _iter_full_rank_sets(rows, n, partition):
-        verts = tuple(rows[i] for i in idx)
-        h = hnf(tuple(zip(*verts)))
-        ent = by_hnf.get(h)
+    # HNF columns -> [count, least index tuple]; the walk runs in lex order,
+    # so the first index tuple of each HNF is its least
+    by_hnf: dict[tuple[Point, ...], list] = {}
+    for idx, cols in _iter_full_rank_sets(rows, n, partition):
+        ent = by_hnf.get(cols)
         if ent is None:
-            by_hnf[h] = [1, verts]
+            by_hnf[cols] = [1, idx]
         else:
             ent[0] += 1
-            if verts < ent[1]:
-                ent[1] = verts
     groups: dict[str, list] = {}
-    for h, (count, verts) in by_hnf.items():
-        key = _key_of_hnf(h)
+    for cols, (count, idx) in by_hnf.items():
+        key = _key_of_hnf(transpose(cols))
+        verts = tuple(rows[i] for i in idx)
         ent = groups.get(key)
         if ent is None:
             groups[key] = [count, verts]
@@ -269,9 +269,9 @@ def run_pipeline(
         store = merge(manifest.shard_paths, merged_path, audit=audit)
         sim = stats(store, StatsScope.SIMPLICIAL_SETS)
         lat = stats(store, StatsScope.LATTICES)
-        with open(os.path.join(out_dir, "stats.csv"), "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(os.path.join(out_dir, "stats.csv")) as fh:
             fh.write(stats_csv([sim, lat], n, two_d))
-        with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(os.path.join(out_dir, "stats.json")) as fh:
             json.dump(
                 {"simplicial_sets": sim.to_json_dict(), "lattices": lat.to_json_dict()},
                 fh,
@@ -335,13 +335,11 @@ class ConjectureReport:
 
 
 def check_conjecture(
-    two_d: int, workers: int = 1, out_dir: str | None = None, n: int = 2
+    two_d: int, workers: int = 1, out_dir: str | None = None
 ) -> ConjectureReport:
     """Exhaustively classify every 2-simplex of maximal degree <= two_d and
     report any INTERMEDIATE class verbatim (vertices plus full MMS).  The
-    dichotomy statement is specific to the plane, so n must be 2."""
-    if n != 2:
-        raise ValueError("the dichotomy check is defined for n = 2 only")
+    dichotomy statement is specific to the plane."""
     import tempfile
 
     ctx = None

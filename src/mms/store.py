@@ -17,10 +17,11 @@ import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .engine import Classification, HRatio, _check_derived, classify, compute_mms, h_ratio
 from .geometry import SimplicialSet, parse_point
@@ -35,6 +36,29 @@ class StoreFormatError(ValueError):
 
 class StoreAuditError(AssertionError):
     """A stored record disagrees with recomputation from its representative."""
+
+
+@contextmanager
+def atomic_open(path: str) -> Iterator[IO[str]]:
+    """Text file handle for writing ``path`` all at once: the block writes a
+    sibling temp file, which ``os.replace`` moves onto ``path`` only when the
+    block ends without error; on error the temp file is removed and ``path``
+    is left as it was.  So a crashed run never leaves a half-written file.
+    A path that exists but is not a regular file (a device or pipe such as
+    /dev/stdout) cannot be replaced, so it is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class StatsScope(str, Enum):
@@ -111,7 +135,7 @@ class Shard:
         self._records[record.key] = _combine(prev, record)
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             for key in sorted(self._records):
                 fh.write(self._records[key].to_json())
                 fh.write("\n")
@@ -176,9 +200,7 @@ def merge(shard_paths: Iterable[str], out_path: str, audit: bool = True) -> "Sto
     merged = heapq.merge(*streams, key=lambda kv: kv[0])
     idx_path = out_path + ".idx"
     count = 0
-    with open(out_path, "w", encoding="utf-8", newline="\n") as out, open(
-        idx_path, "w", encoding="utf-8", newline="\n"
-    ) as idx:
+    with atomic_open(out_path) as out, atomic_open(idx_path) as idx:
         current: MmsRecord | None = None
         offset = 0
 
@@ -217,6 +239,24 @@ def _audit_record(rec: MmsRecord) -> None:
         )
 
 
+def _check_index_end(path: str, idx_path: str, last: int | None) -> None:
+    """StoreFormatError unless ``last`` (the sidecar's last offset, None for
+    an empty sidecar) starts the final, newline-terminated line of ``path``."""
+    with open(path, "rb") as fh:
+        if last is None:
+            ok = not fh.read(1)
+        else:
+            ok = last >= 0
+            if ok and last > 0:
+                fh.seek(last - 1)
+                ok = fh.read(1) == b"\n"
+            if ok:
+                fh.seek(last)
+                ok = fh.readline().endswith(b"\n") and not fh.read(1)
+    if not ok:
+        raise StoreFormatError(f"{path}: does not end where its index {idx_path} ends")
+
+
 class Store:
     """A merged, sorted JSONL store with a key-to-offset sidecar index."""
 
@@ -226,6 +266,11 @@ class Store:
 
     @classmethod
     def open(cls, path: str) -> "Store":
+        """Open a store file and its ``.idx`` sidecar, or index the file
+        itself when there is no sidecar.  StoreFormatError when a sidecar
+        line is malformed or the sidecar does not end where the file does:
+        its last offset must start the file's final, newline-terminated
+        line, and an empty sidecar needs an empty file."""
         idx_path = path + ".idx"
         index: list[tuple[str, int]] = []
         if os.path.exists(idx_path):
@@ -239,6 +284,7 @@ class Store:
                         index.append((key, int(off)))
                     except ValueError as exc:
                         raise StoreFormatError(f"{idx_path}:{lineno}: bad index line") from exc
+            _check_index_end(path, idx_path, index[-1][1] if index else None)
         else:
             index = [(rec.key, offset) for _, offset, rec in _read_records(path)]
         return cls(path, index)
@@ -421,7 +467,7 @@ def export(store: Store, fmt: str, path: str) -> None:
     round-trip with the store file), "csv" writes the two-scope stats table
     with n and 2d derived from the stored representatives."""
     if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             for rec in store:
                 fh.write(rec.to_json())
                 fh.write("\n")
@@ -439,7 +485,7 @@ def export(store: Store, fmt: str, path: str) -> None:
             stats(store, StatsScope.SIMPLICIAL_SETS),
             stats(store, StatsScope.LATTICES),
         ]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_open(path) as fh:
             fh.write(stats_csv(summaries, n, two_d))
         return
     raise ValueError(f"unknown export format {fmt!r}")

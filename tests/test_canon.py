@@ -17,6 +17,7 @@ from mms.canon import (
     matrix_determinant,
     serialize_matrix,
     transpose,
+    _text_order,
 )
 from mms.geometry import SimplicialSet
 
@@ -65,6 +66,35 @@ def test_matrix_determinant():
 def test_serialize_matrix_format():
     assert serialize_matrix(((2, 4), (0, 6))) == "2x2w1:2,4;0,6"
     assert serialize_matrix(((6, 0), (0, 12))) == "2x2w2:06,00;00,12"
+
+
+# widths 1, 2, 9 and 10 in one shape: "w10:" sorts before "w1:" and "w9:"
+_entries = st.sampled_from([0, 1, 9, 10, 10**8, 10**9 - 1, 10**9, 2 * 10**9])
+
+
+@given(
+    st.lists(
+        st.tuples(st.tuples(_entries, _entries), st.tuples(_entries, _entries)),
+        min_size=2,
+        max_size=12,
+    )
+)
+def test_orbit_order_is_serialized_text_order(mats):
+    assert sorted(mats, key=_text_order) == sorted(mats, key=serialize_matrix)
+
+
+def test_orbit_order_puts_width_ten_before_width_one():
+    narrow, wide = ((9, 0), (0, 9)), ((10**9, 0), (0, 1))
+    assert serialize_matrix(wide) < serialize_matrix(narrow)
+    assert _text_order(wide) < _text_order(narrow)
+
+
+@pytest.mark.parametrize(
+    "mat", [((2, 4), (1, 2)), ((0, 0), (0, 0)), ((2, 4, 6), (0, 2, 4)), ((2,), (4,))]
+)
+def test_canonical_key_of_matrix_refuses_singular_or_non_square(mat):
+    with pytest.raises(ValueError, match="canonical key requires"):
+        canonical_key_of_matrix(mat)
 
 
 def test_canonical_key_motzkin():

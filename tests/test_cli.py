@@ -297,6 +297,23 @@ def test_stats_cli_scopes(cli_run_dir, capsys):
     assert set(json.loads(out)) == {"lattices"}
 
 
+def test_stats_refuses_store_shorter_than_its_index(capsys, tmp_path):
+    out = str(tmp_path / "run")
+    code = main(["pipeline", "--dim", "2", "--deg", "8", "--workers", "1", "--out", out])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    store = os.path.join(out, "merged.jsonl")
+    with open(store, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(store, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:-1])
+    code, text, err = run_main(capsys, "stats", "--store", store)
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"mms: error: {store}: ")
+
+
 def test_stats_missing_store_is_io_error(capsys, tmp_path):
     code, _, err = run_main(
         capsys, "stats", "--store", str(tmp_path / "absent.jsonl")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mms.enumeration import enumerate_simplices, vertex_list
+from mms.canon import hnf, transpose
+from mms.enumeration import _iter_full_rank_sets, enumerate_simplices, vertex_list
 from mms.geometry import SimplicialSet, is_even_point, linear_rank, one_norm
 
 
@@ -105,3 +106,15 @@ def test_enumeration_is_strictly_lex_ordered(n, two_d):
         if prev is not None:
             assert s.points > prev
         prev = s.points
+
+
+@pytest.mark.parametrize("n, two_d", [(2, 16), (3, 6), (4, 4)])
+def test_walk_yields_the_hnf_of_each_vertex_matrix(n, two_d):
+    rows = vertex_list(n, two_d).rows
+    walked = 0
+    for p in range(len(rows)):
+        for idx, cols in _iter_full_rank_sets(rows, n, p):
+            assert idx[0] == p
+            assert transpose(cols) == hnf(transpose(tuple(rows[i] for i in idx)))
+            walked += 1
+    assert walked == sum(1 for _ in enumerate_simplices(n, two_d))

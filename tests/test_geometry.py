@@ -95,6 +95,64 @@ def test_linear_rank_small():
     assert linear_rank([(2, 0, 0), (0, 2, 0), (2, 2, 0)]) == 2
 
 
+def fraction_pivot_columns(vectors):
+    """Reference pivot columns: Gauss-Jordan over Fractions, column by
+    column; a column is a pivot when it is independent of the earlier ones.
+    Independent of the integer HNF step the library uses."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        rows = [
+            row if i == r else [x - row[col] / prow[col] * y for x, y in zip(row, prow)]
+            for i, row in enumerate(rows)
+        ]
+        pivots.append(col)
+    return pivots
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, with zero, duplicate and summed rows mixed in
+    so that rank-deficient ones are common."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "sum"]))
+        if kind == "zero":
+            extra = [0] * ncols
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            extra = [x + 2 * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), extra)
+    return rows
+
+
+@given(integer_matrices())
+def test_rank_and_pivot_columns_agree_with_fraction_reference(vectors):
+    want = fraction_pivot_columns(vectors)
+    assert linear_rank(vectors) == len(want)
+    assert geometry._hnf_pivots([list(v) for v in vectors]) == want
+    origin = (0,) * len(vectors[0])
+    verts = (origin,) + tuple(map(tuple, vectors))
+    if len(want) < len(vectors):
+        with pytest.raises(ValueError, match="affinely dependent"):
+            _affine_frame(verts)
+    else:
+        # adj(A) of the nonsingular pivot minor A has no zero column, so the
+        # frame's nonzero weight rows are exactly the pivot columns
+        _, weights, _ = _affine_frame(verts)
+        assert [i for i, w in enumerate(weights) if any(w)] == want
+
+
 def test_affinely_independent():
     assert affinely_independent([(0, 0), (2, 4), (4, 2)])
     assert not affinely_independent([(0, 0), (2, 2), (4, 4)])

@@ -191,8 +191,3 @@ def test_conjecture_check_small_degree():
     payload = report.to_json_dict()
     assert payload["passed"] is True
     assert payload["two_d"] == 6
-
-
-def test_conjecture_check_rejects_other_dimensions():
-    with pytest.raises(ValueError, match="n = 2"):
-        check_conjecture(6, n=3)

@@ -18,6 +18,7 @@ from mms.store import (
     StoreAuditError,
     StoreFormatError,
     _iter_shard,
+    atomic_open,
     export,
     merge,
     stats,
@@ -246,6 +247,58 @@ def test_store_open_rebuilds_missing_index(tmp_path):
     rebuilt = Store.open(out)
     assert rebuilt.keys() == with_idx.keys()
     assert rebuilt.get("2x2w1:2,4;0,6") == with_idx.get("2x2w1:2,4;0,6")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text[: text.rindex("\n", 0, -1) + 1],  # last line dropped
+        lambda text: text + text.splitlines(keepends=True)[0],  # a line appended
+        lambda text: text[:-1],  # final newline cut
+        lambda text: text + "\n",  # blank line after the last record
+    ],
+    ids=["dropped", "appended", "unterminated", "trailing-blank"],
+)
+def test_store_open_refuses_index_that_does_not_end_with_its_file(tmp_path, edit):
+    out = str(tmp_path / "m.jsonl")
+    merge([golden_shard_path(tmp_path)], out)
+    with open(out) as fh:
+        text = fh.read()
+    with open(out, "w") as fh:
+        fh.write(edit(text))
+    with pytest.raises(StoreFormatError, match=f"{out}: does not end where its index"):
+        Store.open(out)
+
+
+def test_store_open_refuses_empty_index_of_nonempty_file(tmp_path):
+    out = str(tmp_path / "m.jsonl")
+    merge([golden_shard_path(tmp_path)], out)
+    open(out + ".idx", "w").close()
+    with pytest.raises(StoreFormatError, match="does not end where its index"):
+        Store.open(out)
+    open(out, "w").close()
+    assert len(Store.open(out)) == 0
+
+
+def test_atomic_open_leaves_the_old_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "stats.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(str(path)) as fh:
+            fh.write("half")
+            raise RuntimeError("crash mid-write")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["stats.json"]
+    with atomic_open(str(path)) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["stats.json"]
+
+
+def test_atomic_open_writes_a_device_in_place():
+    with atomic_open(os.devnull) as fh:
+        fh.write("discarded\n")
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
 def test_store_get_rejects_inconsistent_record(tmp_path):
