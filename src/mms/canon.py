@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .geometry import SimplicialSet, _det_and_adjugate, _hnf_pivots
+from .geometry import SimplicialSet, _hnf_pivots
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -57,16 +57,6 @@ def hnf(m: Matrix) -> Matrix:
     rows = [list(r) for r in m]
     _hnf_pivots(rows)
     return tuple(tuple(row) for row in rows)
-
-
-def matrix_determinant(m: Matrix) -> int:
-    """Exact determinant of a square integer matrix (0 when singular)."""
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("determinant requires a square matrix")
-    try:
-        return _det_and_adjugate(m)[0]
-    except ValueError:  # singular
-        return 0
 
 
 def serialize_matrix(m: Matrix) -> str:

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Sequence
+from contextlib import nullcontext
+from typing import IO, ContextManager, Sequence
 
 from . import __version__
-from .canon import canonical_key, generator_matrix, hnf, matrix_determinant
+from .canon import canonical_key, generator_matrix
 from .engine import compute_mms
 from .enumeration import enumerate_simplices
 from .geometry import SimplicialSet, parse_point
@@ -28,7 +30,7 @@ from .sos import (
     sonc_simplex_is_sos,
     sos_bound_is_exact,
 )
-from .store import StatsScope, Store, export, stats
+from .store import StatsScope, Store, atomic_open, export, stats
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -104,34 +106,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _output(path: str | None) -> ContextManager[IO[str]]:
+    """stdout, or ``path`` written through ``store.atomic_open``, so a
+    command that fails part way leaves ``path`` as it was."""
+    return nullcontext(sys.stdout) if path is None else atomic_open(path)
 
 
 def _cmd_enumerate(args) -> int:
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for delta in enumerate_simplices(args.dim, args.deg, args.partition):
             out.write(json.dumps({"delta": str(delta)}, separators=(",", ":")))
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
     cfg = SamplerConfig(n=args.dim, two_d=args.deg, seed=args.seed, count=args.count)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for delta in sample_stream(cfg):
             out.write(json.dumps({"delta": str(delta)}, separators=(",", ":")))
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -156,15 +150,11 @@ def _iter_input_deltas(args):
 
 
 def _cmd_mms(args) -> int:
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for delta in _iter_input_deltas(args):
             result = compute_mms(delta, method=args.method)
             out.write(result.to_json_line())
             out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -176,7 +166,8 @@ def _cmd_canon(args) -> int:
         "key": key.key_text,
         "hnf": [list(row) for row in key.hnf],
         "generator": [list(row) for row in gen],
-        "lattice_index": abs(matrix_determinant(gen)),
+        # the key HNF spans the generator's lattice: |det| is its diagonal product
+        "lattice_index": math.prod(row[i] for i, row in enumerate(key.hnf)),
     }
     print(json.dumps(payload, indent=2))
     return EXIT_OK

@@ -83,14 +83,6 @@ class HRatio:
     def __str__(self) -> str:
         return f"{self.numerator_count}/{self.denominator_count}"
 
-    @classmethod
-    def parse(cls, text: str) -> "HRatio":
-        num, _, den = text.partition("/")
-        try:
-            return cls(int(num), int(den))
-        except ValueError as exc:
-            raise ValueError(f"bad h-ratio {text!r}") from exc
-
 
 def floor_set(delta: SimplicialSet) -> set[Point]:
     """The lower bound: vertices together with their pairwise midpoints.

@@ -12,22 +12,14 @@ stack along the current path, so the walk streams in bounded memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .geometry import Point, SimplicialSet, _hnf_column, _nonneg_ball
 
 
-@dataclass(frozen=True)
-class VertexList:
-    n: int
-    two_d: int
-    rows: tuple[Point, ...]
-
-
 @lru_cache(maxsize=64)
-def vertex_list(n: int, two_d: int) -> VertexList:
+def vertex_list(n: int, two_d: int) -> tuple[Point, ...]:
     """Lex-ordered even nonzero points of N^n with 1-norm <= 2d.
 
     Built by doubling the 1-norm ball of radius d (doubling preserves lex
@@ -38,10 +30,7 @@ def vertex_list(n: int, two_d: int) -> VertexList:
     if two_d < 2 or two_d % 2 != 0:
         raise ValueError("maximal degree must be an even integer >= 2")
     half = _nonneg_ball(n, two_d // 2)
-    rows = tuple(
-        tuple(2 * c for c in q) for q in map(tuple, half.tolist()) if any(q)
-    )
-    return VertexList(n=n, two_d=two_d, rows=rows)
+    return tuple(tuple(2 * c for c in q) for q in map(tuple, half.tolist()) if any(q))
 
 
 def _iter_full_rank_sets(
@@ -118,8 +107,7 @@ def enumerate_simplices(
     """Stream every full-dimensional simplex {0} cup {n rows of the vertex
     list}, each exactly once, in lex order of index sets.  Partition streams
     (one per first-row index) are disjoint and jointly exhaustive."""
-    V = vertex_list(n, two_d)
-    rows = V.rows
+    rows = vertex_list(n, two_d)
     if partition is not None and not (0 <= partition < len(rows)):
         raise ValueError(f"partition {partition} out of range")
     origin = (0,) * n

@@ -2,13 +2,13 @@
 
 Points are plain tuples of ints; hull scans return lex-sorted int64 arrays.
 Everything here is exact integer arithmetic, with no floats and no Fraction
-left, and it rests on two integer cores.  The Hermite normal form column
-step (:func:`_hnf_column`) is the only rank test: :func:`linear_rank`, the
-affine frame's pivot columns, ``canon.hnf`` and the enumeration walk all run
-it.  The fraction-free adjugate (:func:`_det_and_adjugate`) inverts the
-pivot minor.  One integer affine frame (:func:`_affine_frame`, built from
-both) decides membership for simplices of every dimension, in the hull scan
-and in the point tests :func:`contains` and :func:`strictly_interior` alike.
+left, and it rests on one integer core: the Hermite normal form column step
+(:func:`_hnf_column`) is the only row elimination.  :func:`linear_rank`,
+``canon.hnf``, the enumeration walk and the affine frame all run it.  One
+integer affine frame (:func:`_affine_frame`: one HNF pass over the edges,
+then back substitution on its triangular block) decides membership for
+simplices of every dimension, in the hull scan and in the point tests
+:func:`contains` and :func:`strictly_interior` alike.
 Scans run in numpy on int64 when a bound shows they cannot overflow;
 otherwise the same formula runs on Python ints in numpy object arrays.
 """
@@ -38,7 +38,7 @@ def parse_point(text: str) -> Point:
 
 
 def format_point(point: Point) -> str:
-    return ",".join(str(c) for c in point)
+    return ",".join(map(str, point))
 
 
 def is_even_point(point: Point) -> bool:
@@ -267,69 +267,65 @@ def _candidate_array(verts: Sequence[Point]) -> np.ndarray:
     return grid[keep]
 
 
-def _det_and_adjugate(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """Exact determinant and adjugate of a nonsingular integer matrix.
+def _det_and_adjugate(
+    tri: Sequence[Sequence[int]], unimodular: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """``(|det A|, |det A| * A^-1)`` for the nonsingular integer matrix A
+    with Hermite normal form T = U A, given the upper-triangular T (positive
+    diagonal) and the unimodular U.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968) on ``[M | I]``: step k turns
-    every other row into ``(p_k * row - a_ik * pivot_row) / p_(k-1)``, where
-    p_k is the k-th pivot and p_(-1) = 1.  Every entry stays a minor of the
-    augmented matrix, so each division is exact.  At the end the left block
-    is ``p * I`` and the right block is ``p * M^-1``, with p the last pivot,
-    which is det(M) up to the sign of the row swaps.  Raises ValueError when
-    M is singular.
+    |det A| = d is the product of the diagonal of T, and d A^-1 = d T^-1 U
+    comes by back substitution, bottom row first.  Every division is exact:
+    d T^-1 is the adjugate of T, so each solved row is integral.
     """
-    n = len(mat)
-    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-            sign = -sign
-        prow = aug[k]
-        p = prow[k]
-        for i in range(n):
-            if i != k:
-                f = aug[i][k]
-                aug[i] = [(p * x - f * y) // prev for x, y in zip(aug[i], prow)]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+    det = 1
+    for i, row in enumerate(tri):
+        det *= row[i]
+    inv: list[list[int]] = [[]] * len(tri)
+    for i in reversed(range(len(tri))):
+        acc = [det * x for x in unimodular[i]]
+        for j in range(i + 1, len(tri)):
+            t = tri[i][j]
+            if t:
+                acc = [a - t * b for a, b in zip(acc, inv[j])]
+        p = tri[i][i]
+        inv[i] = [a // p for a in acc]
+    return det, inv
 
 
 @lru_cache(maxsize=256)
 def _affine_frame(verts: tuple[Point, ...]) -> tuple[int, tuple[Point, ...], tuple[Point, ...]]:
     """Integer frame ``(det, weights, edges)`` of the k-simplex ``verts`` in Z^n.
 
-    The pivot columns P of the Hermite normal form of the edges
-    e_i = v_i - v_0 (:func:`_hnf_pivots`) are the lex-first k independent
-    coordinate columns, so the k x k minor A = (e_i[p])_{p in P, i} of the
-    edges is nonsingular; its determinant and adjugate come from
-    :func:`_det_and_adjugate`.  ``weights`` is the
-    n x k matrix whose rows P hold adj(A)^T and whose other rows are zero, so
-    a point x of the affine hull has barycentric coordinates
-    lam_i = y_i / det (i = 1..k) and lam_0 = 1 - sum(lam), with
-    y = (x - v_0) weights.  ``det`` is made positive and ``det`` and the
-    adjugate are divided by their gcd, which leaves every lam unchanged.
-    Cached per vertex tuple, so repeated point tests on one simplex build one
-    frame; the matrices are tuples because every caller shares them.
-    Raises ValueError when ``verts`` are affinely dependent.
+    One :func:`_hnf_pivots` pass over ``[E | I_k]``, where the rows of E
+    are the edges e_i = v_i - v_0, gives the pivot columns P, the
+    upper-triangular block T = H[:, P] and U with H = U E.  When E has rank
+    k, P is the lex-first set of k independent coordinate columns and the
+    k x k minor E_P is nonsingular; a pivot at column n or beyond means the
+    edges are dependent.  :func:`_det_and_adjugate` turns T and U into
+    d = |det E_P| and d E_P^-1.  ``weights`` is the n x k matrix whose rows P
+    hold d E_P^-1 and whose other rows are zero, so a point x of the affine
+    hull has barycentric coordinates lam_i = y_i / d (i = 1..k) and
+    lam_0 = 1 - sum(lam), with y = (x - v_0) weights.  d and the weights are
+    divided by their gcd, which leaves every lam unchanged.  Cached per
+    vertex tuple, so repeated point tests on one simplex build one frame;
+    the matrices are tuples because every caller shares them.  Raises
+    ValueError when ``verts`` are affinely dependent.
     """
     base = verts[0]
-    n = len(base)
+    n, k = len(base), len(verts) - 1
     edges = tuple(tuple(a - b for a, b in zip(v, base)) for v in verts[1:])
-    pivots = _hnf_pivots([list(e) for e in edges])
-    if len(pivots) < len(edges):
+    rows = [list(e) + [int(i == j) for j in range(k)] for i, e in enumerate(edges)]
+    pivots = _hnf_pivots(rows)
+    if pivots and pivots[-1] >= n:
         raise ValueError("points are affinely dependent")
-    det, adj = _det_and_adjugate([[e[p] for e in edges] for p in pivots])
-    g = gcd(det, *(x for row in adj for x in row))
-    if det < 0:
-        g = -g
-    weights = [(0,) * len(edges)] * n
-    for j, p in enumerate(pivots):
-        weights[p] = tuple(row[j] // g for row in adj)
+    det, inv = _det_and_adjugate(
+        [[row[p] for p in pivots] for row in rows], [row[n:] for row in rows]
+    )
+    g = gcd(det, *(x for row in inv for x in row))
+    weights = [(0,) * k] * n
+    for p, row in zip(pivots, inv):
+        weights[p] = tuple(x // g for x in row)
     return det // g, tuple(weights), edges
 
 

@@ -120,7 +120,7 @@ def _aggregate_to_shard(
 
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
-    rows = vertex_list(n, two_d).rows
+    rows = vertex_list(n, two_d)
     # HNF columns -> [count, least index tuple]; the walk runs in lex order,
     # so the first index tuple of each HNF is its least
     by_hnf: dict[tuple[Point, ...], list] = {}
@@ -204,7 +204,6 @@ def run_pipeline(
     out_dir: str,
     seed: int | None = None,
     count: int | None = None,
-    audit: bool = True,
 ) -> tuple[StatsSummary, StatsSummary]:
     """Full batch run into ``out_dir``: shards, merged store (merged.jsonl
     plus .idx), stats.csv, stats.json, manifest.json.  Returns the
@@ -238,7 +237,7 @@ def run_pipeline(
     manifest.write(manifest_path)
     try:
         if mode == "full":
-            rows = vertex_list(n, two_d).rows
+            rows = vertex_list(n, two_d)
             parts = range(0, max(0, len(rows) - n + 1))
             task_args = [
                 (n, two_d, p, os.path.join(shard_dir, f"shard-{p:05d}.jsonl"))
@@ -266,7 +265,7 @@ def run_pipeline(
         manifest.shard_paths = sorted(shard_paths)
         merged_path = os.path.join(out_dir, "merged.jsonl")
         print(f"[mms] merging {len(shard_paths)} shards", file=sys.stderr)
-        store = merge(manifest.shard_paths, merged_path, audit=audit)
+        store = merge(manifest.shard_paths, merged_path)
         sim = stats(store, StatsScope.SIMPLICIAL_SETS)
         lat = stats(store, StatsScope.LATTICES)
         with atomic_open(os.path.join(out_dir, "stats.csv")) as fh:

@@ -47,7 +47,7 @@ def sample_simplex(
 ) -> SimplicialSet:
     """The sample at a given stream index: draw n points, redraw within the
     same substream while they are affinely dependent with the origin."""
-    rows = vertex_list(n, two_d).rows
+    rows = vertex_list(n, two_d)
     m = len(rows)
     rng = _rng_for_index(seed, index)
     origin = (0,) * n

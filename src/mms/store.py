@@ -188,7 +188,7 @@ def _iter_shard(path: str) -> Iterator[tuple[str, MmsRecord]]:
         yield rec.key, rec
 
 
-def merge(shard_paths: Iterable[str], out_path: str, audit: bool = True) -> "Store":
+def merge(shard_paths: Iterable[str], out_path: str) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
     offset index.  Records with equal keys are combined (multiplicities sum,
     the representative with the least vertex tuple wins); shard order cannot
@@ -206,7 +206,7 @@ def merge(shard_paths: Iterable[str], out_path: str, audit: bool = True) -> "Sto
 
         def emit(rec: MmsRecord) -> int:
             nonlocal offset, count
-            if audit and count % AUDIT_STRIDE == 0:
+            if count % AUDIT_STRIDE == 0:
                 _audit_record(rec)
             line = rec.to_json() + "\n"
             idx.write(f"{rec.key}\t{offset}\n")
@@ -330,10 +330,6 @@ class StatsSummary:
     sd_sample: float | None
     histogram: tuple[int, ...]
     decrease_factor: Fraction | None
-
-    @property
-    def mean(self) -> float:
-        return float(self.mean_h_ratio)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,4 +1,7 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and reference oracles for the test suite."""
+
+import itertools
+import math
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -24,3 +27,13 @@ def small_simplices(draw, max_n=3, degrees=(2, 4, 6), full_dim_only=False):
     pts = [(0,) * n] + [evens[i] for i in idx]
     assume(affinely_independent(sorted(set(pts))))
     return SimplicialSet.of(pts)
+
+
+def _leibniz_det(m):
+    """Reference determinant: the permutation expansion."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total

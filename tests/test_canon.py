@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from strategies import small_simplices
+from strategies import _leibniz_det, small_simplices
 
 from mms.canon import (
     CanonicalLatticeKey,
@@ -14,7 +14,6 @@ from mms.canon import (
     generator_matrix,
     hnf,
     hnf_orbit,
-    matrix_determinant,
     serialize_matrix,
     transpose,
     _text_order,
@@ -54,13 +53,6 @@ def test_hnf_goldens(mat, expected):
 def test_hnf_orbit_motzkin_collapses():
     # both column orders reduce to the same normal form here
     assert hnf_orbit(generator_matrix(MOTZKIN)) == [((2, 4), (0, 6))]
-
-
-def test_matrix_determinant():
-    assert matrix_determinant(((2, 4), (4, 2))) == -12
-    assert matrix_determinant(((2, 0), (0, 6))) == 12
-    assert matrix_determinant(((1, 2, 3), (4, 5, 6), (7, 8, 9))) == 0
-    assert matrix_determinant(((2, 0, 0), (0, 3, 0), (0, 0, 5))) == 30
 
 
 def test_serialize_matrix_format():
@@ -112,7 +104,7 @@ def test_shared_lattice_pair_has_equal_keys():
 def test_same_invariants_different_lattice():
     # same |det| and column gcd multiset, so only the key comparison decides
     other = SimplicialSet.parse("0,0;2,0;2,6")
-    assert abs(matrix_determinant(generator_matrix(other))) == 12
+    assert abs(_leibniz_det(generator_matrix(other))) == 12
     assert canonical_key(other).key_text == "2x2w1:2,2;0,6"
     assert not equivalent(MOTZKIN, other)
 
@@ -166,7 +158,7 @@ def unimodular_matrices(draw, n):
 
 @given(square_matrices)
 def test_hnf_shape_invariants(mat):
-    assume(matrix_determinant(mat) != 0)
+    assume(_leibniz_det(mat) != 0)
     h = hnf(mat)
     n = len(mat)
     for i in range(n):
@@ -175,14 +167,14 @@ def test_hnf_shape_invariants(mat):
             assert h[i][j] == 0
         for r in range(i):
             assert 0 <= h[r][i] < h[i][i]
-    assert abs(matrix_determinant(h)) == abs(matrix_determinant(mat))
+    assert abs(_leibniz_det(h)) == abs(_leibniz_det(mat))
     assert hnf(h) == h
 
 
 @given(st.data())
 def test_hnf_invariant_under_left_unimodular(data):
     mat = data.draw(square_matrices)
-    assume(matrix_determinant(mat) != 0)
+    assume(_leibniz_det(mat) != 0)
     n = len(mat)
     u = data.draw(unimodular_matrices(n))
     prod = tuple(
@@ -194,7 +186,7 @@ def test_hnf_invariant_under_left_unimodular(data):
 
 @given(square_matrices)
 def test_canonical_key_is_minimum_over_column_orders(mat):
-    assume(matrix_determinant(mat) != 0)
+    assume(_leibniz_det(mat) != 0)
     n = len(mat)
     serials = set()
     for perm in itertools.permutations(range(n)):

@@ -10,6 +10,8 @@ import pytest
 
 import mms
 from mms.cli import EXIT_COUNTEREXAMPLE, EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from mms.geometry import SimplicialSet
+from strategies import _leibniz_det
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 # the directory holding the mms package under test, e.g. src/ in a checkout
@@ -133,6 +135,44 @@ def test_mms_bad_input_line(capsys, tmp_path):
     assert ":1: bad input line" in err
 
 
+def test_mms_out_is_written_all_or_nothing(capsys, tmp_path):
+    # the first line is valid and the second is not: the run must leave no
+    # one-record --out file behind, and must not replace an earlier one
+    path = tmp_path / "in.jsonl"
+    path.write_text('{"delta":"0,0;2,4;4,2"}\nnope\n')
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_main(capsys, "mms", "--in", str(path), "--out", str(out))
+    assert code == EXIT_INVALID
+    assert ":2: bad input line" in err
+    assert not out.exists()
+    out.write_text("earlier\n")
+    code, _, _ = run_main(capsys, "mms", "--in", str(path), "--out", str(out))
+    assert code == EXIT_INVALID
+    assert out.read_text() == "earlier\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "out.jsonl"]
+
+
+def _one_simplex_then_fail(*args):
+    yield SimplicialSet.parse("0,0;2,4;4,2")
+    raise ValueError("stream failed")
+
+
+@pytest.mark.parametrize(
+    "argv, stream",
+    [
+        (["enumerate", "--dim", "2", "--deg", "4"], "enumerate_simplices"),
+        (["sample", "--dim", "2", "--deg", "4", "--seed", "1", "--count", "3"], "sample_stream"),
+    ],
+)
+def test_failed_stream_leaves_no_out_file(capsys, monkeypatch, tmp_path, argv, stream):
+    monkeypatch.setattr(f"mms.cli.{stream}", _one_simplex_then_fail)
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_main(capsys, *argv, "--out", str(out))
+    assert code == EXIT_INVALID
+    assert "stream failed" in err
+    assert os.listdir(tmp_path) == []
+
+
 GOOD_RECORD = {
     "key": "2x2w1:2,4;0,6",
     "representative": "0,0;2,4;4,2",
@@ -214,6 +254,14 @@ def test_canon_output(capsys):
     assert payload["hnf"] == [[2, 4], [0, 6]]
     assert payload["generator"] == [[2, 4], [4, 2]]
     assert payload["lattice_index"] == 12
+
+
+@pytest.mark.parametrize("delta", ["0,0;2,4;4,2", "2,2;4,8;8,4", "0,0,0;2,0,4;0,6,2;4,4,0"])
+def test_canon_lattice_index_is_the_generator_determinant(capsys, delta):
+    code, out, _ = run_main(capsys, "canon", "--delta", delta)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["lattice_index"] == abs(_leibniz_det(payload["generator"]))
 
 
 def test_canon_requires_full_dimension(capsys):

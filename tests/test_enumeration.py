@@ -11,13 +11,12 @@ from mms.geometry import SimplicialSet, is_even_point, linear_rank, one_norm
 
 
 def test_vertex_list_2_4_golden():
-    v = vertex_list(2, 4)
-    assert v.rows == ((0, 2), (0, 4), (2, 0), (2, 2), (4, 0))
+    assert vertex_list(2, 4) == ((0, 2), (0, 4), (2, 0), (2, 2), (4, 0))
 
 
 @pytest.mark.parametrize("n, two_d", [(1, 2), (1, 6), (2, 4), (2, 10), (3, 6), (4, 4)])
 def test_vertex_list_count(n, two_d):
-    rows = vertex_list(n, two_d).rows
+    rows = vertex_list(n, two_d)
     assert len(rows) == math.comb(n + two_d // 2, n) - 1
     assert list(rows) == sorted(rows)
     for p in rows:
@@ -57,7 +56,7 @@ def test_enumeration_counts(n, two_d, expected):
 
 @pytest.mark.parametrize("n, two_d", [(2, 6), (3, 4)])
 def test_enumeration_matches_brute_force(n, two_d):
-    rows = vertex_list(n, two_d).rows
+    rows = vertex_list(n, two_d)
     origin = (0,) * n
     brute = {
         tuple(sorted((origin,) + combo))
@@ -81,13 +80,13 @@ def test_enumerated_simplices_are_valid_and_ordered():
 
 @pytest.mark.parametrize("n, two_d", [(2, 8), (3, 4)])
 def test_partitions_are_disjoint_and_exhaustive(n, two_d):
-    m = len(vertex_list(n, two_d).rows)
+    m = len(vertex_list(n, two_d))
     seen = []
     for p in range(m):
         part = [s.points for s in enumerate_simplices(n, two_d, partition=p)]
         # within one partition the smallest nonzero vertex is fixed
         for pts in part:
-            assert pts[1] == vertex_list(n, two_d).rows[p]
+            assert pts[1] == vertex_list(n, two_d)[p]
         seen.extend(part)
     full = [s.points for s in enumerate_simplices(n, two_d)]
     assert sorted(seen) == sorted(full)
@@ -110,7 +109,7 @@ def test_enumeration_is_strictly_lex_ordered(n, two_d):
 
 @pytest.mark.parametrize("n, two_d", [(2, 16), (3, 6), (4, 4)])
 def test_walk_yields_the_hnf_of_each_vertex_matrix(n, two_d):
-    rows = vertex_list(n, two_d).rows
+    rows = vertex_list(n, two_d)
     walked = 0
     for p in range(len(rows)):
         for idx, cols in _iter_full_rank_sets(rows, n, p):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strategies import small_simplices
+from strategies import _leibniz_det, small_simplices
 
 from mms import geometry
 from mms.geometry import (
@@ -323,16 +323,6 @@ def test_midpoints_of_vertices_are_contained(delta):
         assert contains(delta, q)
 
 
-def _leibniz_det(m):
-    """Reference determinant: the permutation expansion."""
-    n = len(m)
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
-    return total
-
-
 def _square_matrices(max_n=6):
     return st.integers(min_value=1, max_value=max_n).flatmap(
         lambda n: st.lists(
@@ -343,34 +333,102 @@ def _square_matrices(max_n=6):
     )
 
 
+def _hnf_inverse(m):
+    """``(|det m|, |det m| * m^-1)`` through one HNF pass over ``[m | I]``
+    and :func:`_det_and_adjugate`, as the affine frame computes it; None when
+    a pivot lands past m, i.e. m is singular."""
+    n = len(m)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
+    pivots = geometry._hnf_pivots(rows)
+    if pivots and pivots[-1] >= n:
+        return None
+    return _det_and_adjugate([[row[p] for p in pivots] for row in rows], [row[n:] for row in rows])
+
+
 @given(_square_matrices())
 def test_det_and_adjugate_matches_definition(m):
     n = len(m)
     det = _leibniz_det(m)
+    got = _hnf_inverse(m)
     if det == 0:
-        with pytest.raises(ValueError):
-            _det_and_adjugate(m)
+        assert got is None
         return
-    d, adj = _det_and_adjugate(m)
-    assert d == det
-    identity = [[det * int(i == j) for j in range(n)] for i in range(n)]
-    assert [[sum(adj[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == identity
-    assert [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == identity
+    d, inv = got
+    assert d == abs(det)
+    identity = [[d * int(i == j) for j in range(n)] for i in range(n)]
+    assert [[sum(inv[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == identity
+    assert [[sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == identity
 
 
 @given(_square_matrices(), st.integers(-3, 3), st.integers(-3, 3))
 def test_det_and_adjugate_rejects_singular(m, a, b):
-    # the last row becomes a combination of the others (a zero row when n = 1)
+    # the last row becomes a combination of the others (a zero row when n = 1):
+    # the HNF pass puts a pivot past m, and the frame refuses the vertex set
     n = len(m)
     m[-1] = [a * x + b * y for x, y in zip(m[0], m[max(n - 2, 0)])] if n > 1 else [0]
-    with pytest.raises(ValueError):
-        _det_and_adjugate(m)
+    assert _hnf_inverse(m) is None
+    with pytest.raises(ValueError, match="affinely dependent"):
+        _affine_frame(((0,) * n,) + tuple(map(tuple, m)))
 
 
 def test_det_and_adjugate_goldens():
-    assert _det_and_adjugate([[0, 2], [3, 1]]) == (-6, [[1, -2], [-3, 0]])
-    assert _det_and_adjugate([[5]]) == (5, [[1]])
-    assert _det_and_adjugate([]) == (1, [])
+    # |det| and |det| * inverse, whatever the sign of det
+    assert _det_and_adjugate([[2, 1], [0, 3]], [[1, 0], [0, 1]]) == (6, [[3, -1], [0, 2]])
+    assert _hnf_inverse([[0, 2], [3, 1]]) == (6, [[-1, 2], [3, 0]])
+    assert _hnf_inverse([[5]]) == (5, [[1]])
+    assert _hnf_inverse([]) == (1, [])
+
+
+def fraction_inverse(m):
+    """Reference inverse of a nonsingular square matrix: Gauss-Jordan over
+    Fractions on [m | I]."""
+    n = len(m)
+    rows = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = [x / rows[col][col] for x in rows[col]]
+        rows = [
+            prow if i == col else [x - r[col] * y for x, y in zip(r, prow)]
+            for i, r in enumerate(rows)
+        ]
+    return [r[n:] for r in rows]
+
+
+@st.composite
+def vertex_sets(draw, max_n=6):
+    """k + 1 integer points in Z^n, k <= n <= max_n, often affinely
+    dependent: one edge may be replaced by a combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    k = draw(st.integers(min_value=0, max_value=n))
+    coord = st.integers(min_value=-6, max_value=6)
+    base = tuple(draw(coord) for _ in range(n))
+    edges = [[draw(coord) for _ in range(n)] for _ in range(k)]
+    if k and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=k - 1))
+        coeffs = [draw(st.integers(min_value=-2, max_value=2)) for _ in range(k)]
+        coeffs[i] = 0
+        edges[i] = [sum(c * e[j] for c, e in zip(coeffs, edges)) for j in range(n)]
+    return (base,) + tuple(tuple(a + b for a, b in zip(e, base)) for e in edges)
+
+
+@given(vertex_sets())
+def test_affine_frame_is_the_reduced_inverse_of_the_pivot_minor(verts):
+    # the frame's weights on the pivot rows P are L * E_P^-1 and its det is
+    # L, the least common denominator of the Fraction inverse of E_P
+    base, n = verts[0], len(verts[0])
+    edges = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
+    pivots = fraction_pivot_columns(edges)
+    if len(pivots) < len(edges):
+        with pytest.raises(ValueError, match="affinely dependent"):
+            _affine_frame(verts)
+        return
+    inv = fraction_inverse([[e[p] for p in pivots] for e in edges])
+    lcd = math.lcm(*(x.denominator for row in inv for x in row))
+    weights = [(0,) * len(edges)] * n
+    for p, row in zip(pivots, inv):
+        weights[p] = tuple(int(lcd * x) for x in row)
+    assert _affine_frame(verts) == (lcd, tuple(weights), tuple(edges))
 
 
 @given(small_simplices(degrees=(2, 4, 6, 8)), st.data())

@@ -92,7 +92,7 @@ def test_full_run_stats_files(full_run):
 def test_merged_representatives_are_tuple_minima(tmp_path):
     # at 2x16 many classes span several partitions, so the merge chooses
     # between shard minima and must keep the least vertex tuple too
-    run_pipeline(2, 16, "full", 1, str(tmp_path), audit=False)
+    run_pipeline(2, 16, "full", 1, str(tmp_path))
     least = {}
     for delta in enumerate_simplices(2, 16):
         key = canonical_key(delta).key_text

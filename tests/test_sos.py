@@ -32,9 +32,9 @@ def test_point_tests_on_one_simplex_build_one_frame(monkeypatch):
     calls = []
     real = geometry._det_and_adjugate
 
-    def counted(mat):
-        calls.append(mat)
-        return real(mat)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(geometry, "_det_and_adjugate", counted)
     geometry._affine_frame.cache_clear()

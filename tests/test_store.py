@@ -220,15 +220,6 @@ def test_merge_audit_stride_skips_later_records(tmp_path):
     assert rec is not None and rec.mms_size == 19
 
 
-def test_merge_audit_can_be_disabled(tmp_path):
-    path = str(tmp_path / "t.jsonl")
-    tampered = dataclasses.replace(record_for(MOTZKIN), mms_size=7)
-    with open(path, "w") as fh:
-        fh.write(tampered.to_json() + "\n")
-    store = merge([path], str(tmp_path / "m.jsonl"), audit=False)
-    assert len(store) == 1
-
-
 def test_store_get_and_iteration_order(tmp_path):
     store = merge([golden_shard_path(tmp_path)], str(tmp_path / "m.jsonl"))
     assert len(store) == 3
