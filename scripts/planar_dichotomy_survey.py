@@ -20,14 +20,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mms.engine import Classification, compute_mms
-from mms.geometry import SimplicialSet
-from mms.pipeline import default_workers, run_pipeline
-from mms.store import Store
+from mms.pipeline import check_conjecture, default_workers
 
 FULL_SCALE = {"deg": 150, "sim": 4266834, "h": 4250533, "m": 16301, "lat": 886297}
 
@@ -39,40 +35,26 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
     workers = args.workers if args.workers is not None else default_workers()
-    ctx = None
-    out_dir = args.out
-    if out_dir is None:
-        ctx = tempfile.TemporaryDirectory(prefix="mms-survey-")
-        out_dir = ctx.name
-    try:
-        sim, lat = run_pipeline(2, args.deg, "full", workers, out_dir)
-        store = Store.open(os.path.join(out_dir, "merged.jsonl"))
-        counterexamples = [
-            rec for rec in store if rec.classification is Classification.INTERMEDIATE
-        ]
-        print(
-            f"simplicial sets {sim.total_count}  "
-            f"(H {sim.h_count}, M {sim.m_count}, INTERMEDIATE {sim.intermediate_count})"
-        )
-        print(f"lattice classes {lat.total_count}")
-        for rec in counterexamples:
-            delta = SimplicialSet.parse(rec.representative)
-            result = compute_mms(delta)
-            print("INTERMEDIATE class found:")
-            print(json.dumps({"delta": str(delta), "mms": [list(p) for p in sorted(result.mms_points)]}))
-        if counterexamples:
-            return 2
-        if args.deg == FULL_SCALE["deg"]:
-            observed = (sim.total_count, sim.h_count, sim.m_count, lat.total_count)
-            expected = (FULL_SCALE["sim"], FULL_SCALE["h"], FULL_SCALE["m"], FULL_SCALE["lat"])
-            if observed != expected:
-                print(f"full-scale totals mismatch: {observed} != {expected}", file=sys.stderr)
-                return 1
-            print("full-scale totals match the recorded figures")
-        return 0
-    finally:
-        if ctx is not None:
-            ctx.cleanup()
+    report = check_conjecture(args.deg, workers=workers, out_dir=args.out)
+    sim, lat = report.simplicial, report.lattices
+    print(
+        f"simplicial sets {sim.total_count}  "
+        f"(H {sim.h_count}, M {sim.m_count}, INTERMEDIATE {sim.intermediate_count})"
+    )
+    print(f"lattice classes {lat.total_count}")
+    for found in report.counterexamples:
+        print("INTERMEDIATE class found:")
+        print(json.dumps({"delta": found["delta"], "mms": found["mms_points"]}))
+    if not report.passed:
+        return 2
+    if args.deg == FULL_SCALE["deg"]:
+        observed = (sim.total_count, sim.h_count, sim.m_count, lat.total_count)
+        expected = (FULL_SCALE["sim"], FULL_SCALE["h"], FULL_SCALE["m"], FULL_SCALE["lat"])
+        if observed != expected:
+            print(f"full-scale totals mismatch: {observed} != {expected}", file=sys.stderr)
+            return 1
+        print("full-scale totals match the recorded figures")
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .canon import canonical_key, generator_matrix
 from .engine import compute_mms
 from .enumeration import enumerate_simplices
 from .geometry import SimplicialSet, parse_point
-from .pipeline import check_conjecture, default_workers, replay, run_pipeline
+from .pipeline import check_conjecture, default_workers, replay, run_pipeline, run_shape
 from .sampler import SamplerConfig, sample_stream
 from .sos import (
     CircuitSupport,
@@ -30,7 +30,7 @@ from .sos import (
     sonc_simplex_is_sos,
     sos_bound_is_exact,
 )
-from .store import StatsScope, Store, atomic_open, export, stats
+from .store import Store, atomic_open, export, stats, stats_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -174,20 +174,17 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    store = Store.open(args.store)
-    scopes = {
-        "simplicial_sets": [StatsScope.SIMPLICIAL_SETS],
-        "lattices": [StatsScope.LATTICES],
-        "both": [StatsScope.SIMPLICIAL_SETS, StatsScope.LATTICES],
-    }[args.scope]
-    payload = {scope.value: stats(store, scope).to_json_dict() for scope in scopes}
-    print(json.dumps(payload, indent=2))
+    sim, lat = stats(Store.open(args.store))
+    summaries = {"simplicial_sets": [sim], "lattices": [lat], "both": [sim, lat]}[args.scope]
+    print(json.dumps(stats_json(summaries), indent=2))
     return EXIT_OK
 
 
 def _cmd_export(args) -> int:
     store = Store.open(args.store)
-    export(store, args.format, args.out)
+    # the stats table of a pipeline store takes n and 2d from its manifest
+    shape = run_shape(args.store) if args.format == "csv" else None
+    export(store, args.format, args.out, shape)
     return EXIT_OK
 
 
@@ -274,12 +271,7 @@ def _cmd_pipeline(args) -> int:
             seed=args.seed,
             count=args.count,
         )
-    print(
-        json.dumps(
-            {"simplicial_sets": sim.to_json_dict(), "lattices": lat.to_json_dict()},
-            indent=2,
-        )
-    )
+    print(json.dumps(stats_json([sim, lat]), indent=2))
     return EXIT_OK
 
 

@@ -18,6 +18,14 @@ from typing import Iterator, Sequence
 from .geometry import Point, SimplicialSet, _hnf_column, _nonneg_ball
 
 
+def check_shape(n: int, two_d: int) -> None:
+    """ValueError naming the parameter unless n >= 1 and 2d is even and >= 2."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if two_d < 2 or two_d % 2 != 0:
+        raise ValueError("maximal degree must be an even integer >= 2")
+
+
 @lru_cache(maxsize=64)
 def vertex_list(n: int, two_d: int) -> tuple[Point, ...]:
     """Lex-ordered even nonzero points of N^n with 1-norm <= 2d.
@@ -25,10 +33,7 @@ def vertex_list(n: int, two_d: int) -> tuple[Point, ...]:
     Built by doubling the 1-norm ball of radius d (doubling preserves lex
     order) and dropping the origin.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if two_d < 2 or two_d % 2 != 0:
-        raise ValueError("maximal degree must be an even integer >= 2")
+    check_shape(n, two_d)
     half = _nonneg_ball(n, two_d // 2)
     return tuple(tuple(2 * c for c in q) for q in map(tuple, half.tolist()) if any(q))
 

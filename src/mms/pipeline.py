@@ -1,6 +1,12 @@
 """Batch orchestration: enumerate or sample, compute MMS per lattice class,
 canonicalize, shard, merge, and summarize.
 
+Each stage does its job once.  A task groups its simplices by canonical key
+in ``_aggregate_to_shard`` (multiplicities sum, the least vertex tuple
+represents the class) and writes one record per key to its shard; the merge
+combines each key's records across shards once; one pass over the merged
+store yields the statistics of both scopes.
+
 Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling.  Records carry the
 representative whose vertex tuple is least *within their shard*, and the
@@ -18,26 +24,28 @@ import json
 import multiprocessing
 import os
 import sys
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
 from .engine import Classification, compute_mms
-from .enumeration import _iter_full_rank_sets, vertex_list
+from .enumeration import _iter_full_rank_sets, check_shape, vertex_list
 from .geometry import Point, SimplicialSet
-from .sampler import sample_simplex
+from .sampler import SamplerConfig, sample_simplex
 from .store import (
     MmsRecord,
     Shard,
-    StatsScope,
     StatsSummary,
     Store,
     atomic_open,
     merge,
     stats,
     stats_csv,
+    stats_json,
 )
 
 SAMPLE_BLOCK = 2000  # fixed block size; results never depend on worker count
@@ -94,26 +102,26 @@ def _invariants_for(key: str, delta: SimplicialSet) -> tuple[int, int, int]:
     return inv
 
 
-def _record(key: str, rep: SimplicialSet, multiplicity: int) -> MmsRecord:
-    mms_size, conv_count, floor_count = _invariants_for(key, rep)
-    return MmsRecord(
-        key=key,
-        representative=str(rep),
-        mms_size=mms_size,
-        conv_count=conv_count,
-        floor_count=floor_count,
-        simplex_multiplicity=multiplicity,
-    )
-
-
 def _aggregate_to_shard(
-    groups: dict[str, list], n: int, shard_path: str
+    members: Iterable[tuple[str, int, tuple[Point, ...]]], n: int, shard_path: str
 ) -> str:
+    """Group a task's (key, count, nonzero vertices) members by key, the
+    only place a task combines them: counts sum and the least vertex tuple
+    represents the class.  Writes one record per key to ``shard_path``."""
+    groups: dict[str, list] = {}
+    for key, count, verts in members:
+        ent = groups.get(key)
+        if ent is None:
+            groups[key] = [count, verts]
+        else:
+            ent[0] += count
+            if verts < ent[1]:
+                ent[1] = verts
     origin = (0,) * n
     shard = Shard()
     for key, (count, verts) in groups.items():
         rep = SimplicialSet((origin,) + verts)
-        shard.put(_record(key, rep, count))
+        shard.put(MmsRecord(key, str(rep), *_invariants_for(key, rep), count))
     shard.write(shard_path)
     return shard_path
 
@@ -130,54 +138,33 @@ def _enum_task(args: tuple) -> str:
             by_hnf[cols] = [1, idx]
         else:
             ent[0] += 1
-    groups: dict[str, list] = {}
-    for cols, (count, idx) in by_hnf.items():
-        key = _key_of_hnf(transpose(cols))
-        verts = tuple(rows[i] for i in idx)
-        ent = groups.get(key)
-        if ent is None:
-            groups[key] = [count, verts]
-        else:
-            ent[0] += count
-            if verts < ent[1]:
-                ent[1] = verts
-    return _aggregate_to_shard(groups, n, shard_path)
+    members = [
+        (_key_of_hnf(transpose(cols)), count, tuple(rows[i] for i in idx))
+        for cols, (count, idx) in by_hnf.items()
+    ]
+    return _aggregate_to_shard(members, n, shard_path)
 
 
 def _sample_task(args: tuple) -> str:
     n, two_d, seed, lo, hi, shard_path = args
-    groups: dict[str, list] = {}
+    members = []
     for index in range(lo, hi):
-        delta = sample_simplex(n, two_d, seed, index)
-        verts = delta.points[1:]  # origin is always the lex-min point
-        h = hnf(tuple(zip(*verts)))
-        key = _key_of_hnf(h)
-        ent = groups.get(key)
-        if ent is None:
-            groups[key] = [1, verts]
-        else:
-            ent[0] += 1
-            if verts < ent[1]:
-                ent[1] = verts
-    return _aggregate_to_shard(groups, n, shard_path)
+        verts = sample_simplex(n, two_d, seed, index).points[1:]  # origin is the lex-min point
+        members.append((_key_of_hnf(hnf(tuple(zip(*verts)))), 1, verts))
+    return _aggregate_to_shard(members, n, shard_path)
 
 
 def _run_tasks(task_fn, task_args: list[tuple], workers: int, label: str) -> list[str]:
-    done = 0
+    """Shard paths of every task, run in this process or in a pool of
+    ``workers``, with a progress line about every tenth task."""
     total = len(task_args)
     step = max(1, total // 10)
+    serial = workers <= 1 or total <= 1
     results: list[str] = []
-    if workers <= 1 or total <= 1:
-        for args in task_args:
-            results.append(task_fn(args))
-            done += 1
-            if done % step == 0 or done == total:
-                print(f"[mms] {label}: {done}/{total}", file=sys.stderr)
-        return results
-    with multiprocessing.Pool(processes=workers) as pool:
-        for path in pool.imap_unordered(task_fn, task_args):
+    with (nullcontext() if serial else multiprocessing.Pool(processes=workers)) as pool:
+        paths = map(task_fn, task_args) if serial else pool.imap_unordered(task_fn, task_args)
+        for done, path in enumerate(paths, start=1):
             results.append(path)
-            done += 1
             if done % step == 0 or done == total:
                 print(f"[mms] {label}: {done}/{total}", file=sys.stderr)
     return results
@@ -207,12 +194,17 @@ def run_pipeline(
 ) -> tuple[StatsSummary, StatsSummary]:
     """Full batch run into ``out_dir``: shards, merged store (merged.jsonl
     plus .idx), stats.csv, stats.json, manifest.json.  Returns the
-    (simplicial-set scope, lattice scope) summaries."""
+    (simplicial-set scope, lattice scope) summaries.  Every parameter is
+    checked, the sample ones as ``mms sample`` checks them, before
+    anything is written: a bad value raises ValueError naming it."""
     if mode not in ("full", "sample"):
         raise ValueError(f"mode must be 'full' or 'sample', got {mode!r}")
-    if mode == "sample":
-        if seed is None or count is None:
-            raise ValueError("sample mode requires seed and count")
+    if mode == "full":
+        check_shape(n, two_d)
+    elif seed is None or count is None:
+        raise ValueError("sample mode requires seed and count")
+    else:
+        SamplerConfig(n=n, two_d=two_d, seed=seed, count=count)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     os.makedirs(out_dir, exist_ok=True)
@@ -266,16 +258,11 @@ def run_pipeline(
         merged_path = os.path.join(out_dir, "merged.jsonl")
         print(f"[mms] merging {len(shard_paths)} shards", file=sys.stderr)
         store = merge(manifest.shard_paths, merged_path)
-        sim = stats(store, StatsScope.SIMPLICIAL_SETS)
-        lat = stats(store, StatsScope.LATTICES)
+        sim, lat = stats(store)
         with atomic_open(os.path.join(out_dir, "stats.csv")) as fh:
             fh.write(stats_csv([sim, lat], n, two_d))
         with atomic_open(os.path.join(out_dir, "stats.json")) as fh:
-            json.dump(
-                {"simplicial_sets": sim.to_json_dict(), "lattices": lat.to_json_dict()},
-                fh,
-                indent=2,
-            )
+            json.dump(stats_json([sim, lat]), fh, indent=2)
             fh.write("\n")
         manifest.status = "complete"
         manifest.finished_at = datetime.now(timezone.utc).isoformat()
@@ -306,15 +293,48 @@ def replay(manifest_path: str, out_dir: str, workers: int | None = None) -> tupl
     )
 
 
+def run_shape(store_path: str) -> tuple[int, int] | None:
+    """(n, 2d) of the pipeline run that wrote ``store_path``, read from the
+    ``manifest.json`` beside it; None when there is no such manifest or it
+    records another command."""
+    path = os.path.join(os.path.dirname(store_path), "manifest.json")
+    if not os.path.exists(path):
+        return None
+    manifest = RunManifest.read(path)
+    if manifest.command != "pipeline":
+        return None
+    return int(manifest.parameters["n"]), int(manifest.parameters["two_d"])
+
+
 @dataclass(frozen=True)
 class ConjectureReport:
+    """The planar dichotomy check at one degree: the run's two stats
+    summaries and every INTERMEDIATE class found."""
+
     two_d: int
-    total_simplices: int
-    total_lattices: int
-    h_lattice_classes: int
-    m_lattice_classes: int
-    intermediate_lattice_classes: int
+    simplicial: StatsSummary
+    lattices: StatsSummary
     counterexamples: tuple[dict, ...]
+
+    @property
+    def total_simplices(self) -> int:
+        return self.simplicial.total_count
+
+    @property
+    def total_lattices(self) -> int:
+        return self.lattices.total_count
+
+    @property
+    def h_lattice_classes(self) -> int:
+        return self.lattices.h_count
+
+    @property
+    def m_lattice_classes(self) -> int:
+        return self.lattices.m_count
+
+    @property
+    def intermediate_lattice_classes(self) -> int:
+        return self.lattices.intermediate_count
 
     @property
     def passed(self) -> bool:
@@ -338,39 +358,26 @@ def check_conjecture(
 ) -> ConjectureReport:
     """Exhaustively classify every 2-simplex of maximal degree <= two_d and
     report any INTERMEDIATE class verbatim (vertices plus full MMS).  The
-    dichotomy statement is specific to the plane."""
-    import tempfile
-
-    ctx = None
-    if out_dir is None:
-        ctx = tempfile.TemporaryDirectory(prefix="mms-conjecture-")
-        out_dir = ctx.name
-    try:
-        sim, lat = run_pipeline(2, two_d, "full", workers, out_dir)
-        store = Store.open(os.path.join(out_dir, "merged.jsonl"))
+    dichotomy statement is specific to the plane.  The merged store is
+    read again only when the lattice scope counts INTERMEDIATE classes."""
+    with (
+        nullcontext(out_dir)
+        if out_dir is not None
+        else tempfile.TemporaryDirectory(prefix="mms-conjecture-")
+    ) as run_dir:
+        sim, lat = run_pipeline(2, two_d, "full", workers, run_dir)
         counterexamples = []
-        for rec in store:
-            if rec.classification is Classification.INTERMEDIATE:
-                delta = SimplicialSet.parse(rec.representative)
-                result = compute_mms(delta)
-                counterexamples.append(
-                    {
-                        "delta": str(delta),
-                        "mms_points": [list(p) for p in result.mms_points],
-                        "conv_count": result.conv_count,
-                        "floor_count": result.floor_count,
-                        "mms_size": result.mms_size,
-                    }
-                )
-        return ConjectureReport(
-            two_d=two_d,
-            total_simplices=sim.total_count,
-            total_lattices=lat.total_count,
-            h_lattice_classes=lat.h_count,
-            m_lattice_classes=lat.m_count,
-            intermediate_lattice_classes=lat.intermediate_count,
-            counterexamples=tuple(counterexamples),
-        )
-    finally:
-        if ctx is not None:
-            ctx.cleanup()
+        if lat.intermediate_count:
+            for rec in Store.open(os.path.join(run_dir, "merged.jsonl")):
+                if rec.classification is Classification.INTERMEDIATE:
+                    result = compute_mms(SimplicialSet.parse(rec.representative))
+                    counterexamples.append(
+                        {
+                            "delta": str(result.delta),
+                            "mms_points": [list(p) for p in result.mms_points],
+                            "conv_count": result.conv_count,
+                            "floor_count": result.floor_count,
+                            "mms_size": result.mms_size,
+                        }
+                    )
+    return ConjectureReport(two_d, sim, lat, tuple(counterexamples))

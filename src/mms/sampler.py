@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .enumeration import vertex_list
+from .enumeration import check_shape, vertex_list
 from .geometry import SimplicialSet, linear_rank
 
 
@@ -25,10 +25,7 @@ class SamplerConfig:
     count: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.two_d < 2 or self.two_d % 2 != 0:
-            raise ValueError("maximal degree must be an even integer >= 2")
+        check_shape(self.n, self.two_d)
         if self.count < 1:
             raise ValueError("count must be at least 1")
         if not (0 <= self.seed < 2**64):

@@ -8,12 +8,20 @@ multiplicity weighting instead of storing every simplex.  The classification
 and h-ratio of a record are derived from its counts: they are written to
 each line for readers, and a line whose stored values disagree with its
 counts is rejected as malformed.
+
+A shard holds at most one record per key (the task that writes it has
+already grouped its simplices).  The merge combines the records of one key
+across shards once: the counts must agree, multiplicities sum, and the
+representative with the least vertex tuple wins, so the merged store does
+not depend on how the keys were spread over shards or in what order the
+shards are listed.
 """
 from __future__ import annotations
 
 import csv
 import heapq
 import io
+import itertools
 import json
 import math
 import os
@@ -119,7 +127,7 @@ class MmsRecord:
 
 
 class Shard:
-    """In-memory accumulator for one worker's records, written sorted."""
+    """One task's records, at most one per key, written sorted by key."""
 
     def __init__(self) -> None:
         self._records: dict[str, MmsRecord] = {}
@@ -128,11 +136,10 @@ class Shard:
         return len(self._records)
 
     def put(self, record: MmsRecord) -> None:
-        prev = self._records.get(record.key)
-        if prev is None:
-            self._records[record.key] = record
-            return
-        self._records[record.key] = _combine(prev, record)
+        """Add a record; ValueError if the shard already holds its key."""
+        if record.key in self._records:
+            raise ValueError(f"shard already holds a record for key {record.key}")
+        self._records[record.key] = record
 
     def write(self, path: str) -> None:
         with atomic_open(path) as fh:
@@ -141,25 +148,28 @@ class Shard:
                 fh.write("\n")
 
 
-def _combine(a: MmsRecord, b: MmsRecord) -> MmsRecord:
-    if a.key != b.key:
-        raise ValueError("cannot combine records with different keys")
-    for field in ("mms_size", "conv_count", "floor_count"):
-        if getattr(a, field) != getattr(b, field):
-            raise StoreAuditError(
-                f"records for key {a.key} disagree on {field}: "
-                f"{getattr(a, field)} vs {getattr(b, field)}"
-            )
-    # keep the least vertex tuple, the order shards pick representatives in
-    rep = min(
-        a.representative,
-        b.representative,
-        key=lambda text: tuple(map(parse_point, text.split(";"))),
+def _combine(records: list[MmsRecord]) -> MmsRecord:
+    """The one record of a key from its records across shards: the three
+    counts must agree (StoreAuditError naming the key and the field),
+    multiplicities sum, and the representative with the least vertex tuple
+    wins, the order shards pick representatives in."""
+    first, rest = records[0], records[1:]
+    if not rest:
+        return first
+    for rec in rest:
+        for field in ("mms_size", "conv_count", "floor_count"):
+            if getattr(rec, field) != getattr(first, field):
+                raise StoreAuditError(
+                    f"records for key {first.key} disagree on {field}: "
+                    f"{getattr(first, field)} vs {getattr(rec, field)}"
+                )
+    least = min(
+        records, key=lambda rec: tuple(map(parse_point, rec.representative.split(";")))
     )
     return replace(
-        a,
-        representative=rep,
-        simplex_multiplicity=a.simplex_multiplicity + b.simplex_multiplicity,
+        first,
+        representative=least.representative,
+        simplex_multiplicity=sum(rec.simplex_multiplicity for rec in records),
     )
 
 
@@ -190,41 +200,22 @@ def _iter_shard(path: str) -> Iterator[tuple[str, MmsRecord]]:
 
 def merge(shard_paths: Iterable[str], out_path: str) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
-    offset index.  Records with equal keys are combined (multiplicities sum,
-    the representative with the least vertex tuple wins); shard order cannot
-    affect the output.
+    offset index.  The records of each key are combined once (see
+    ``_combine``), so shard order cannot affect the output.
     Every AUDIT_STRIDE-th record is recomputed from its representative.
     """
-    paths = sorted(shard_paths)
-    streams = [_iter_shard(p) for p in paths]
+    streams = [_iter_shard(p) for p in sorted(shard_paths)]
     merged = heapq.merge(*streams, key=lambda kv: kv[0])
-    idx_path = out_path + ".idx"
-    count = 0
-    with atomic_open(out_path) as out, atomic_open(idx_path) as idx:
-        current: MmsRecord | None = None
-        offset = 0
-
-        def emit(rec: MmsRecord) -> int:
-            nonlocal offset, count
+    offset = 0
+    with atomic_open(out_path) as out, atomic_open(out_path + ".idx") as idx:
+        for count, (key, group) in enumerate(itertools.groupby(merged, key=lambda kv: kv[0])):
+            rec = _combine([rec for _, rec in group])
             if count % AUDIT_STRIDE == 0:
                 _audit_record(rec)
             line = rec.to_json() + "\n"
-            idx.write(f"{rec.key}\t{offset}\n")
+            idx.write(f"{key}\t{offset}\n")
             out.write(line)
             offset += len(line.encode("utf-8"))
-            count += 1
-            return count
-
-        for key, rec in merged:
-            if current is None:
-                current = rec
-            elif key == current.key:
-                current = _combine(current, rec)
-            else:
-                emit(current)
-                current = rec
-        if current is not None:
-            emit(current)
     return Store.open(out_path)
 
 
@@ -350,72 +341,85 @@ class StatsSummary:
         }
 
 
-def stats(store: Store, scope: StatsScope) -> StatsSummary:
-    """Weighted h-ratio statistics over the store.
+class _ScopeSums:
+    """Weighted sums of one stats scope.  The h-ratio sums are exact: per
+    reduced denominator q they hold the integer numerators of h and h^2."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.by_class = {label: 0 for label in Classification}
+        self.histogram = [0] * HISTOGRAM_BINS
+        self.by_denominator: dict[int, list[int]] = {}
+
+    def add(self, w: int, label: Classification, p: int, q: int, bin_idx: int) -> None:
+        self.total += w
+        self.by_class[label] += w
+        self.histogram[bin_idx] += w
+        sums = self.by_denominator.get(q)
+        if sums is None:
+            self.by_denominator[q] = [w * p, w * p * p]
+        else:
+            sums[0] += w * p
+            sums[1] += w * p * p
+
+    def summary(self, scope: StatsScope, decrease: Fraction | None) -> StatsSummary:
+        n = self.total
+        sum_h = sum((Fraction(a, q) for q, (a, _) in self.by_denominator.items()), Fraction(0))
+        sum_h2 = sum((Fraction(b, q * q) for q, (_, b) in self.by_denominator.items()), Fraction(0))
+        mean = sum_h / n
+        # exact rationals: both variances are sums of squares, never negative
+        var_pop = sum_h2 / n - mean * mean
+        sd_samp = None
+        if n > 1:
+            sd_samp = math.sqrt(float((sum_h2 - n * mean * mean) / (n - 1)))
+        return StatsSummary(
+            scope=scope,
+            total_count=n,
+            h_count=self.by_class[Classification.H],
+            m_count=self.by_class[Classification.M],
+            intermediate_count=self.by_class[Classification.INTERMEDIATE],
+            mean_h_ratio=mean,
+            sd_population=math.sqrt(float(var_pop)),
+            sd_sample=sd_samp,
+            histogram=tuple(self.histogram),
+            decrease_factor=decrease,
+        )
+
+
+def stats(store: Store) -> tuple[StatsSummary, StatsSummary]:
+    """Weighted h-ratio statistics over the store, (simplicial-set scope,
+    lattice scope), from one pass over its records.
 
     SIMPLICIAL_SETS weights each record by its multiplicity, LATTICES counts
-    each key once.  Mean and variance are accumulated in exact rationals;
-    only the final square root is floating point.  Both population and
-    sample standard deviations are provided (the convention used by any
-    given reference table is not always stated).
+    each key once.  Mean and variance are exact rationals: the pass sums
+    integer numerators per reduced h-ratio denominator, and each scope then
+    forms one Fraction per distinct denominator, so the cost grows linearly
+    with the number of records.  Only the final square roots are floating
+    point.  Both population and sample standard deviations are provided (the
+    convention used by any given reference table is not always stated).
     """
-    weight_total = 0
-    simplex_total = 0
-    lattice_total = 0
-    h_count = 0
-    m_count = 0
-    mid_count = 0
-    sum_h = Fraction(0)
-    sum_h2 = Fraction(0)
-    hist = [0] * HISTOGRAM_BINS
+    sim, lat = _ScopeSums(), _ScopeSums()
     for rec in store:
-        w = rec.simplex_multiplicity if scope is StatsScope.SIMPLICIAL_SETS else 1
-        simplex_total += rec.simplex_multiplicity
-        lattice_total += 1
-        weight_total += w
-        value = rec.h_ratio.value
-        sum_h += w * value
-        sum_h2 += w * value * value
-        if rec.classification is Classification.H:
-            h_count += w
-        elif rec.classification is Classification.M:
-            m_count += w
-        else:
-            mid_count += w
-        bin_idx = min(
-            HISTOGRAM_BINS - 1,
-            (value.numerator * HISTOGRAM_BINS) // value.denominator,
-        )
-        hist[bin_idx] += w
-    if weight_total == 0:
+        h = rec.h_ratio
+        p, q = (h.numerator_count, h.denominator_count) if h.denominator_count else (1, 1)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        label = rec.classification
+        bin_idx = min(HISTOGRAM_BINS - 1, (p * HISTOGRAM_BINS) // q)
+        sim.add(rec.simplex_multiplicity, label, p, q, bin_idx)
+        lat.add(1, label, p, q, bin_idx)
+    if lat.total == 0:
         raise ValueError("cannot compute statistics of an empty store")
-    mean = sum_h / weight_total
-    var_pop = sum_h2 / weight_total - mean * mean
-    if var_pop < 0:
-        var_pop = Fraction(0)  # exact arithmetic: only possible at 0 by rounding-free theory
-    sd_pop = math.sqrt(float(var_pop))
-    if weight_total > 1:
-        var_samp = (sum_h2 - weight_total * mean * mean) / (weight_total - 1)
-        if var_samp < 0:
-            var_samp = Fraction(0)
-        sd_samp = math.sqrt(float(var_samp))
-    else:
-        sd_samp = None
-    decrease = (
-        Fraction(simplex_total, lattice_total) if scope is StatsScope.LATTICES else None
+    return (
+        sim.summary(StatsScope.SIMPLICIAL_SETS, None),
+        lat.summary(StatsScope.LATTICES, Fraction(sim.total, lat.total)),
     )
-    return StatsSummary(
-        scope=scope,
-        total_count=weight_total,
-        h_count=h_count,
-        m_count=m_count,
-        intermediate_count=mid_count,
-        mean_h_ratio=mean,
-        sd_population=sd_pop,
-        sd_sample=sd_samp,
-        histogram=tuple(hist),
-        decrease_factor=decrease,
-    )
+
+
+def stats_json(summaries: Iterable[StatsSummary]) -> dict:
+    """The JSON payload of ``stats.json``, ``mms pipeline`` and ``mms stats``:
+    each summary under its scope name."""
+    return {s.scope.value: s.to_json_dict() for s in summaries}
 
 
 def stats_csv(
@@ -458,10 +462,12 @@ def stats_csv(
     return buf.getvalue()
 
 
-def export(store: Store, fmt: str, path: str) -> None:
+def export(store: Store, fmt: str, path: str, shape: tuple[int, int] | None = None) -> None:
     """Deterministic dumps: "jsonl" writes the records in key order (byte
     round-trip with the store file), "csv" writes the two-scope stats table
-    with n and 2d derived from the stored representatives."""
+    for ``shape`` = (n, 2d).  Without a shape, n and 2d are derived from the
+    stored representatives: the ambient dimension and the largest vertex
+    degree, which is below the run's 2d when no class reaches it."""
     if fmt == "jsonl":
         with atomic_open(path) as fh:
             for rec in store:
@@ -469,19 +475,14 @@ def export(store: Store, fmt: str, path: str) -> None:
                 fh.write("\n")
         return
     if fmt == "csv":
-        n = None
-        two_d = 0
-        for rec in store:
-            delta = SimplicialSet.parse(rec.representative)
-            n = delta.ambient_dim
-            two_d = max(two_d, delta.max_degree)
-        if n is None:
-            raise ValueError("cannot export statistics of an empty store")
-        summaries = [
-            stats(store, StatsScope.SIMPLICIAL_SETS),
-            stats(store, StatsScope.LATTICES),
-        ]
+        summaries = stats(store)
+        if shape is None:
+            n = two_d = 0
+            for rec in store:
+                delta = SimplicialSet.parse(rec.representative)
+                n, two_d = delta.ambient_dim, max(two_d, delta.max_degree)
+            shape = n, two_d
         with atomic_open(path) as fh:
-            fh.write(stats_csv(summaries, n, two_d))
+            fh.write(stats_csv(summaries, *shape))
         return
     raise ValueError(f"unknown export format {fmt!r}")

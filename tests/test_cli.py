@@ -11,6 +11,7 @@ import pytest
 import mms
 from mms.cli import EXIT_COUNTEREXAMPLE, EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from mms.geometry import SimplicialSet
+from mms.pipeline import check_conjecture
 from strategies import _leibniz_det
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -388,6 +389,50 @@ def test_export_cli(cli_run_dir, capsys, tmp_path):
         assert fh.read().startswith("scope,n,2d,")
 
 
+def test_export_csv_equals_the_run_stats_csv(capsys, tmp_path):
+    # one sample: no representative reaches degree 12, the run's 2d
+    out = str(tmp_path / "run")
+    code = main(
+        ["pipeline", "--dim", "3", "--deg", "12", "--mode", "sample", "--seed", "1",
+         "--count", "1", "--workers", "1", "--out", out]
+    )
+    assert code == EXIT_OK
+    table = str(tmp_path / "export.csv")
+    code, _, _ = run_main(
+        capsys, "export", "--store", os.path.join(out, "merged.jsonl"), "--format", "csv",
+        "--out", table,
+    )
+    assert code == EXIT_OK
+    with open(os.path.join(out, "stats.csv"), "rb") as a, open(table, "rb") as b:
+        assert b.read() == a.read()
+
+
+@pytest.mark.parametrize(
+    "argv, parameter",
+    [
+        (["--mode", "sample", "--seed", "1", "--count", "0"], "count"),
+        (["--mode", "sample", "--seed", "1", "--count", "-3"], "count"),
+        (["--mode", "sample", "--seed", "-1", "--count", "5"], "seed"),
+        (["--mode", "sample", "--seed", str(2**64), "--count", "5"], "seed"),
+        (["--mode", "sample", "--seed", "1", "--count", "5", "--dim", "0"], "dimension"),
+        (["--mode", "sample", "--seed", "1", "--count", "5", "--deg", "5"], "maximal degree"),
+        (["--dim", "0"], "dimension"),
+        (["--deg", "7"], "maximal degree"),
+    ],
+)
+def test_pipeline_refuses_bad_parameters_before_writing(capsys, tmp_path, argv, parameter):
+    out = tmp_path / "run"
+    code, text, err = run_main(
+        capsys, "pipeline", "--dim", "2", "--deg", "6", *argv, "--workers", "1",
+        "--out", str(out),
+    )
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"mms: error: {parameter}")
+    assert not out.exists()
+
+
 def test_check_sos_circuit(capsys):
     code, out, _ = run_main(
         capsys, "check-sos", "--delta", "0,0;2,4;4,2", "--beta", "2,2"
@@ -472,3 +517,16 @@ def test_console_script_enumerate_stdout_purity():
     assert len(proc.stdout.strip().split("\n")) == 8
     for line in proc.stdout.strip().split("\n"):
         json.loads(line)
+
+
+def test_planar_survey_script_reports_the_dichotomy_check():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "planar_dichotomy_survey.py"
+    proc = run_python(str(script), "--deg", "12", "--workers", "1")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    report = check_conjecture(12)
+    sim = report.simplicial
+    assert proc.stdout.splitlines() == [
+        f"simplicial sets {sim.total_count}  "
+        f"(H {sim.h_count}, M {sim.m_count}, INTERMEDIATE {sim.intermediate_count})",
+        f"lattice classes {report.total_lattices}",
+    ]

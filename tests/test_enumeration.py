@@ -23,6 +23,11 @@ def test_vertex_list_count(n, two_d):
         assert is_even_point(p) and any(p) and one_norm(p) <= two_d
 
 
+def test_vertex_list_is_built_once_per_shape():
+    # every sample draw reads the vertex list of its shape
+    assert vertex_list(3, 8) is vertex_list(3, 8)
+
+
 def test_vertex_list_validation():
     with pytest.raises(ValueError):
         vertex_list(0, 4)

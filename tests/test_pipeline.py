@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from mms import __version__
+from mms import __version__, pipeline
 from mms.canon import canonical_key
+from mms.engine import compute_mms
 from mms.enumeration import enumerate_simplices
+from mms.geometry import SimplicialSet
 from mms.pipeline import (
     RunManifest,
     check_conjecture,
@@ -191,3 +193,24 @@ def test_conjecture_check_small_degree():
     payload = report.to_json_dict()
     assert payload["passed"] is True
     assert payload["two_d"] == 6
+
+
+def test_conjecture_check_reports_each_intermediate_class(monkeypatch, tmp_path):
+    # no planar class is INTERMEDIATE; the 3x6 census has 10 such classes
+    real = pipeline.run_pipeline
+    monkeypatch.setattr(
+        pipeline, "run_pipeline", lambda n, two_d, *args: real(3, 6, *args)
+    )
+    report = check_conjecture(6, out_dir=str(tmp_path))
+    assert not report.passed
+    assert report.intermediate_lattice_classes == len(report.counterexamples) == 10
+    for found in report.counterexamples:
+        delta = SimplicialSet.parse(found["delta"])
+        result = compute_mms(delta)
+        assert found["mms_points"] == [list(p) for p in result.mms_points]
+        assert found["floor_count"] < found["mms_size"] < found["conv_count"]
+
+
+def test_conjecture_check_reads_the_store_only_for_intermediate_classes(monkeypatch):
+    monkeypatch.setattr(pipeline, "Store", None)  # any store read would fail
+    assert check_conjecture(6).passed

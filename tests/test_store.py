@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -10,10 +11,13 @@ import pytest
 from mms.canon import canonical_key
 from mms.engine import Classification, compute_mms
 from mms.geometry import SimplicialSet
+from mms.pipeline import run_pipeline
 from mms.store import (
+    HISTOGRAM_BINS,
     MmsRecord,
     Shard,
     StatsScope,
+    StatsSummary,
     Store,
     StoreAuditError,
     StoreFormatError,
@@ -43,15 +47,25 @@ def record_for(delta, multiplicity=1):
     )
 
 
-def golden_shard_path(tmp_path, name="shard.jsonl"):
-    sh = Shard()
-    sh.put(record_for(MOTZKIN, 2))
-    sh.put(record_for(TWIN, 1))
-    sh.put(record_for(HURWITZ, 2))
-    sh.put(record_for(DIM4, 1))
-    path = str(tmp_path / name)
-    sh.write(path)
-    return path
+def write_shards(tmp_path, *shards):
+    """Write each list of records as one shard; the shard paths."""
+    paths = []
+    for i, records in enumerate(shards):
+        sh = Shard()
+        for rec in records:
+            sh.put(rec)
+        paths.append(str(tmp_path / f"shard-{i}.jsonl"))
+        sh.write(paths[-1])
+    return paths
+
+
+def golden_shard_paths(tmp_path):
+    # MOTZKIN and TWIN share a key, so they go to different shards
+    return write_shards(
+        tmp_path,
+        [record_for(MOTZKIN, 2), record_for(HURWITZ, 2), record_for(DIM4, 1)],
+        [record_for(TWIN, 1)],
+    )
 
 
 def test_record_json_round_trip():
@@ -81,36 +95,34 @@ def test_record_json_rejects_derived_fields_that_disagree_with_counts(field, val
         MmsRecord.from_json(json.dumps(payload))
 
 
-def test_shard_combines_same_key():
+def test_shard_refuses_a_second_record_for_a_key():
     sh = Shard()
     sh.put(record_for(MOTZKIN, 2))
-    sh.put(record_for(TWIN, 3))
+    with pytest.raises(ValueError, match="already holds a record for key 2x2w1:2,4;0,6"):
+        sh.put(record_for(TWIN, 3))
     assert len(sh) == 1
-    (rec,) = sh._records.values()
-    assert rec.simplex_multiplicity == 5
-    # lex-min representative survives
-    assert rec.representative == "0,0;2,0;4,6"
-    assert rec.mms_size == 6 and rec.classification is Classification.M
 
 
-def test_combine_keeps_tuple_minimal_representative():
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["wide-first", "tall-first"])
+def test_merge_keeps_tuple_minimal_representative(tmp_path, order):
     # the text order would keep "0,0;0,10;2,0" ("1" < "2"); (0, 2) < (0, 10)
     wide = SimplicialSet.parse("0,0;0,10;2,0")
     tall = SimplicialSet.parse("0,0;0,2;10,0")
     assert canonical_key(tall) == canonical_key(wide)
-    sh = Shard()
-    sh.put(record_for(wide))
-    sh.put(record_for(tall))
-    (rec,) = sh._records.values()
+    records = [record_for(wide), record_for(tall)]
+    paths = write_shards(tmp_path, *([records[i]] for i in order))
+    (rec,) = merge(paths, str(tmp_path / "m.jsonl"))
     assert rec.representative == "0,0;0,2;10,0"
+    assert rec.simplex_multiplicity == 2
 
 
-def test_shard_rejects_conflicting_invariants():
-    sh = Shard()
-    sh.put(record_for(MOTZKIN))
-    bad = dataclasses.replace(record_for(TWIN), mms_size=7)
-    with pytest.raises(StoreAuditError):
-        sh.put(bad)
+@pytest.mark.parametrize("field", ["mms_size", "conv_count", "floor_count"])
+def test_merge_rejects_conflicting_invariants(tmp_path, field):
+    twin = record_for(TWIN)
+    bad = dataclasses.replace(twin, **{field: getattr(twin, field) + 1})
+    paths = write_shards(tmp_path, [record_for(MOTZKIN)], [record_for(HURWITZ)], [bad])
+    with pytest.raises(StoreAuditError, match=f"key 2x2w1:2,4;0,6 disagree on {field}"):
+        merge(paths, str(tmp_path / "m.jsonl"))
 
 
 def test_combine_requires_equal_keys():
@@ -121,7 +133,7 @@ def test_combine_requires_equal_keys():
 
 
 def test_shard_writes_sorted_jsonl(tmp_path):
-    path = golden_shard_path(tmp_path)
+    path = golden_shard_paths(tmp_path)[0]
     keys = [key for key, _ in _iter_shard(path)]
     assert keys == sorted(keys)
     assert keys == [
@@ -175,7 +187,9 @@ def test_merge_combines_across_shards(tmp_path):
     rec = store.get("2x2w1:2,4;0,6")
     assert rec is not None
     assert rec.simplex_multiplicity == 5
+    # the tuple-minimal representative survives
     assert rec.representative == "0,0;2,0;4,6"
+    assert rec.mms_size == 6 and rec.classification is Classification.M
 
 
 def test_merge_output_independent_of_shard_order(tmp_path):
@@ -221,7 +235,7 @@ def test_merge_audit_stride_skips_later_records(tmp_path):
 
 
 def test_store_get_and_iteration_order(tmp_path):
-    store = merge([golden_shard_path(tmp_path)], str(tmp_path / "m.jsonl"))
+    store = merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"))
     assert len(store) == 3
     assert store.keys() == sorted(store.keys())
     assert store.get("2x2w1:9,9;9,9") is None
@@ -232,7 +246,7 @@ def test_store_get_and_iteration_order(tmp_path):
 
 def test_store_open_rebuilds_missing_index(tmp_path):
     out = str(tmp_path / "m.jsonl")
-    merge([golden_shard_path(tmp_path)], out)
+    merge(golden_shard_paths(tmp_path), out)
     with_idx = Store.open(out)
     os.remove(out + ".idx")
     rebuilt = Store.open(out)
@@ -252,7 +266,7 @@ def test_store_open_rebuilds_missing_index(tmp_path):
 )
 def test_store_open_refuses_index_that_does_not_end_with_its_file(tmp_path, edit):
     out = str(tmp_path / "m.jsonl")
-    merge([golden_shard_path(tmp_path)], out)
+    merge(golden_shard_paths(tmp_path), out)
     with open(out) as fh:
         text = fh.read()
     with open(out, "w") as fh:
@@ -263,7 +277,7 @@ def test_store_open_refuses_index_that_does_not_end_with_its_file(tmp_path, edit
 
 def test_store_open_refuses_empty_index_of_nonempty_file(tmp_path):
     out = str(tmp_path / "m.jsonl")
-    merge([golden_shard_path(tmp_path)], out)
+    merge(golden_shard_paths(tmp_path), out)
     open(out + ".idx", "w").close()
     with pytest.raises(StoreFormatError, match="does not end where its index"):
         Store.open(out)
@@ -294,7 +308,7 @@ def test_atomic_open_writes_a_device_in_place():
 
 def test_store_get_rejects_inconsistent_record(tmp_path):
     out = str(tmp_path / "m.jsonl")
-    merge([golden_shard_path(tmp_path)], out)
+    merge(golden_shard_paths(tmp_path), out)
     with open(out) as fh:
         text = fh.read()
     # the Motzkin class: counts 6, 10, 6 say M; the same-length edit says H
@@ -306,12 +320,13 @@ def test_store_get_rejects_inconsistent_record(tmp_path):
 
 @pytest.fixture()
 def golden_store(tmp_path):
-    return merge([golden_shard_path(tmp_path)], str(tmp_path / "m.jsonl"))
+    return merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"))
 
 
 def test_stats_simplicial_scope(golden_store):
     # weights 3, 2, 1 with h-ratios 0, 1, 5/7
-    s = stats(golden_store, StatsScope.SIMPLICIAL_SETS)
+    s, _ = stats(golden_store)
+    assert s.scope is StatsScope.SIMPLICIAL_SETS
     assert s.total_count == 6
     assert (s.h_count, s.m_count, s.intermediate_count) == (2, 3, 1)
     assert s.mean_h_ratio == Fraction(19, 42)
@@ -324,12 +339,69 @@ def test_stats_simplicial_scope(golden_store):
 
 
 def test_stats_lattice_scope(golden_store):
-    s = stats(golden_store, StatsScope.LATTICES)
+    _, s = stats(golden_store)
+    assert s.scope is StatsScope.LATTICES
     assert s.total_count == 3
     assert (s.h_count, s.m_count, s.intermediate_count) == (1, 1, 1)
     assert s.mean_h_ratio == Fraction(4, 7)
     assert s.sd_population == pytest.approx(0.420560041, abs=1e-9)
     assert s.decrease_factor == Fraction(2)
+
+
+def reference_stats(store, scope):
+    """One scope's summary by a plain loop that adds one Fraction per record."""
+    weight_total = simplex_total = lattice_total = 0
+    counts = {label: 0 for label in Classification}
+    sum_h = sum_h2 = Fraction(0)
+    hist = [0] * HISTOGRAM_BINS
+    for rec in store:
+        w = rec.simplex_multiplicity if scope is StatsScope.SIMPLICIAL_SETS else 1
+        simplex_total += rec.simplex_multiplicity
+        lattice_total += 1
+        weight_total += w
+        value = rec.h_ratio.value
+        sum_h += w * value
+        sum_h2 += w * value * value
+        counts[rec.classification] += w
+        hist[min(HISTOGRAM_BINS - 1, int(value * HISTOGRAM_BINS))] += w
+    mean = sum_h / weight_total
+    var_pop = max(sum_h2 / weight_total - mean * mean, Fraction(0))
+    var_samp = None
+    if weight_total > 1:
+        var_samp = max((sum_h2 - weight_total * mean * mean) / (weight_total - 1), Fraction(0))
+    return StatsSummary(
+        scope=scope,
+        total_count=weight_total,
+        h_count=counts[Classification.H],
+        m_count=counts[Classification.M],
+        intermediate_count=counts[Classification.INTERMEDIATE],
+        mean_h_ratio=mean,
+        sd_population=math.sqrt(float(var_pop)),
+        sd_sample=None if var_samp is None else math.sqrt(float(var_samp)),
+        histogram=tuple(hist),
+        decrease_factor=(
+            Fraction(simplex_total, lattice_total) if scope is StatsScope.LATTICES else None
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def sampled_store(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("sample4x16"))
+    run_pipeline(4, 16, "sample", 1, out, seed=7, count=400)
+    return Store.open(os.path.join(out, "merged.jsonl"))
+
+
+@pytest.mark.parametrize("which", ["golden", "sampled"])
+def test_one_pass_stats_equals_per_scope_reference(request, which):
+    store = request.getfixturevalue(f"{which}_store")
+    if which == "sampled":
+        # many distinct h-ratio denominators, so the per-denominator sums matter
+        assert len({rec.h_ratio.value.denominator for rec in store}) > 20
+    assert stats(store) == (
+        reference_stats(store, StatsScope.SIMPLICIAL_SETS),
+        reference_stats(store, StatsScope.LATTICES),
+    )
 
 
 def test_stats_rejects_empty_store(tmp_path):
@@ -338,13 +410,11 @@ def test_stats_rejects_empty_store(tmp_path):
     store = Store.open(out)
     assert len(store) == 0
     with pytest.raises(ValueError):
-        stats(store, StatsScope.LATTICES)
+        stats(store)
 
 
 def test_stats_csv_layout(golden_store):
-    sim = stats(golden_store, StatsScope.SIMPLICIAL_SETS)
-    lat = stats(golden_store, StatsScope.LATTICES)
-    assert stats_csv([sim, lat], 4, 6) == (
+    assert stats_csv(stats(golden_store), 4, 6) == (
         "scope,n,2d,total,h_count,m_count,intermediate_count,mean,sd,decrease_factor\n"
         "simplicial_sets,4,6,6,2,3,1,0.452381,0.462297,\n"
         "lattices,4,6,3,1,1,1,0.571429,0.420560,2.000000\n"
@@ -365,6 +435,9 @@ def test_export_csv_matches_stats(golden_store, tmp_path):
         text = fh.read()
     assert text.startswith("scope,n,2d,")
     assert "lattices,4,10,3,1,1,1," in text  # n and 2d recovered from reps
+    export(golden_store, "csv", out, shape=(4, 12))
+    with open(out) as fh:
+        assert fh.read() == stats_csv(stats(golden_store), 4, 12)
 
 
 def test_export_rejects_unknown_format(golden_store, tmp_path):
