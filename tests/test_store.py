@@ -95,6 +95,16 @@ def test_record_json_rejects_derived_fields_that_disagree_with_counts(field, val
         MmsRecord.from_json(json.dumps(payload))
 
 
+def test_shard_combines_same_key(tmp_path):
+    # a shard holds one record per key, so the combine happens in the merge
+    paths = write_shards(tmp_path, [record_for(MOTZKIN, 2)], [record_for(TWIN, 3)])
+    (rec,) = merge(paths, str(tmp_path / "m.jsonl"))
+    assert rec.simplex_multiplicity == 5
+    # the tuple-minimal representative survives
+    assert rec.representative == "0,0;2,0;4,6"
+    assert rec.mms_size == 6 and rec.classification is Classification.M
+
+
 def test_shard_refuses_a_second_record_for_a_key():
     sh = Shard()
     sh.put(record_for(MOTZKIN, 2))
@@ -187,9 +197,7 @@ def test_merge_combines_across_shards(tmp_path):
     rec = store.get("2x2w1:2,4;0,6")
     assert rec is not None
     assert rec.simplex_multiplicity == 5
-    # the tuple-minimal representative survives
     assert rec.representative == "0,0;2,0;4,6"
-    assert rec.mms_size == 6 and rec.classification is Classification.M
 
 
 def test_merge_output_independent_of_shard_order(tmp_path):
