@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .geometry import SimplicialSet, midpoint_set, lattice_points, even_lattice_points
 from .engine import Classification, HRatio, MmsResult, compute_mms, mms_fixed_point, mms_removal
-from .canon import CanonicalLatticeKey, canonical_key, equivalent, generator_matrix, hnf
+from .canon import CanonicalLatticeKey, canonical_key, generator_matrix, hnf
 
 __all__ = [
     "SimplicialSet",
@@ -25,7 +25,6 @@ __all__ = [
     "mms_removal",
     "CanonicalLatticeKey",
     "canonical_key",
-    "equivalent",
     "generator_matrix",
     "hnf",
     "__version__",

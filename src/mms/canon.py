@@ -154,13 +154,3 @@ def canonical_key(delta: SimplicialSet) -> CanonicalLatticeKey:
     if delta.simplex_dim != delta.ambient_dim:
         raise ValueError("canonical key requires a full-dimensional simplex")
     return canonical_key_of_matrix(generator_matrix(delta))
-
-
-def equivalent(d1: SimplicialSet, d2: SimplicialSet) -> bool:
-    """Whether two full-dimensional simplices have the same lattice up to
-    coordinate permutation, i.e. equal canonical keys."""
-    if d1.ambient_dim != d2.ambient_dim:
-        raise ValueError("dimension mismatch")
-    if d1.simplex_dim != d1.ambient_dim or d2.simplex_dim != d2.ambient_dim:
-        raise ValueError("equivalence requires full-dimensional simplices")
-    return canonical_key(d1) == canonical_key(d2)

@@ -256,7 +256,6 @@ def _cmd_check_conjecture(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    workers = args.workers if args.workers is not None else default_workers()
     if args.replay is not None:
         sim, lat = replay(args.replay, args.out, workers=args.workers)
     else:
@@ -266,7 +265,7 @@ def _cmd_pipeline(args) -> int:
             n=args.dim,
             two_d=args.deg,
             mode=args.mode,
-            workers=workers,
+            workers=args.workers if args.workers is not None else default_workers(),
             out_dir=args.out,
             seed=args.seed,
             count=args.count,

@@ -209,20 +209,6 @@ class MmsResult:
         }
         return json.dumps(payload, separators=(",", ":"))
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "MmsResult":
-        payload = json.loads(line)
-        delta = SimplicialSet.parse(payload["delta"])
-        pts = tuple(sorted(tuple(int(c) for c in p) for p in payload["mms_points"]))
-        result = cls(
-            delta=delta,
-            mms_points=pts,
-            conv_count=int(payload["conv_count"]),
-            floor_count=int(payload["floor_count"]),
-        )
-        _check_derived(result, payload)
-        return result
-
 
 class ClassCounts(Protocol):
     """The three counts that determine a class: an :class:`MmsResult` or a
@@ -252,15 +238,6 @@ def h_ratio(counts: ClassCounts) -> HRatio:
     if den == 0:
         return HRatio(0, 0)
     return HRatio(counts.mms_size - counts.floor_count, den)
-
-
-def _check_derived(counts: ClassCounts, payload: dict) -> None:
-    """Raise ValueError when the stored ``classification`` or ``h_ratio`` of
-    a JSON payload disagrees with the counts they are derived from."""
-    if classify(counts).value != payload["classification"]:
-        raise ValueError("classification does not match stored counts")
-    if str(h_ratio(counts)) != payload["h_ratio"]:
-        raise ValueError("h-ratio does not match stored counts")
 
 
 def compute_mms(delta: SimplicialSet, method: str = "removal") -> MmsResult:

@@ -7,8 +7,8 @@ left, and it rests on one integer core: the Hermite normal form column step
 ``canon.hnf``, the enumeration walk and the affine frame all run it.  One
 integer affine frame (:func:`_affine_frame`: one HNF pass over the edges,
 then back substitution on its triangular block) decides membership for
-simplices of every dimension, in the hull scan and in the point tests
-:func:`contains` and :func:`strictly_interior` alike.
+simplices of every dimension, in the hull scan and in the point test
+:func:`strictly_interior` alike.
 Scans run in numpy on int64 when a bound shows they cannot overflow;
 otherwise the same formula runs on Python ints in numpy object arrays.
 """
@@ -167,27 +167,6 @@ class SimplicialSet:
     def max_degree(self) -> int:
         return max(one_norm(p) for p in self.points)
 
-    def translated(self, offset: Sequence[int]) -> "SimplicialSet":
-        # translation preserves lex order, so sortedness survives
-        return SimplicialSet(
-            tuple(tuple(a + b for a, b in zip(p, offset)) for p in self.points)
-        )
-
-    def transformed(
-        self, matrix: Sequence[Sequence[int]], offset: Sequence[int] | None = None
-    ) -> "SimplicialSet":
-        """Apply x -> Ax + b.  Validates the image (A must keep points even
-        and independent, which holds for integral A of full rank and even b)."""
-        n = self.ambient_dim
-        off = tuple(offset) if offset is not None else (0,) * n
-        out = []
-        for p in self.points:
-            q = tuple(
-                sum(matrix[i][j] * p[j] for j in range(n)) + off[i] for i in range(n)
-            )
-            out.append(q)
-        return SimplicialSet.of(out)
-
 
 def midpoint_set(points: Iterable[Sequence[int]]) -> set[Point]:
     """Midpoints of unordered pairs of distinct even members of ``points``."""
@@ -204,21 +183,12 @@ def midpoint_set(points: Iterable[Sequence[int]]) -> set[Point]:
     return out
 
 
-def contains(delta: SimplicialSet, point: Sequence[int]) -> bool:
-    """Exact test for point membership in conv(delta)."""
-    return _point_in_hull(delta, point, strict=False)
-
-
 def strictly_interior(delta: SimplicialSet, point: Sequence[int]) -> bool:
     """True when the point lies in the relative interior of conv(delta)."""
-    return _point_in_hull(delta, point, strict=True)
-
-
-def _point_in_hull(delta: SimplicialSet, point: Sequence[int], strict: bool) -> bool:
     if len(point) != delta.ambient_dim:
         raise ValueError("dimension mismatch")
     row = np.array([[int(c) for c in point]], dtype=object)
-    return bool(_hull_mask(delta.points, row, strict)[0])
+    return bool(_hull_mask(delta.points, row, strict=True)[0])
 
 
 @lru_cache(maxsize=256)

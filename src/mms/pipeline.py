@@ -70,7 +70,10 @@ class RunManifest:
 
     @classmethod
     def read(cls, path: str) -> "RunManifest":
-        """Load a manifest; ValueError names any unknown or missing field."""
+        """Load a manifest; ValueError names any unknown or missing field,
+        and any field of the wrong type: ``parameters`` must be an object
+        with integer ``n`` and ``two_d`` and an integer or no ``count``,
+        ``seed`` an integer or null and ``worker_count`` an integer."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
@@ -82,6 +85,20 @@ class RunManifest:
             raise ValueError(
                 f"{path}: bad manifest: unknown fields {unknown}, missing fields {missing}"
             )
+        params = payload["parameters"]
+        if not isinstance(params, dict):
+            raise ValueError(f"{path}: bad manifest: parameters must be an object")
+        for field, value, nullable in (
+            ("parameters.n", params.get("n"), False),
+            ("parameters.two_d", params.get("two_d"), False),
+            ("parameters.count", params.get("count"), True),
+            ("seed", payload["seed"], True),
+            ("worker_count", payload["worker_count"], False),
+        ):
+            # a JSON true or false is a bool, not an integer
+            if type(value) is not int and not (nullable and value is None):
+                kind = "an integer or null" if nullable else "an integer"
+                raise ValueError(f"{path}: bad manifest: {field} must be {kind}")
         return cls(**payload)
 
 
@@ -283,8 +300,8 @@ def replay(manifest_path: str, out_dir: str, workers: int | None = None) -> tupl
         raise ValueError(f"manifest records command {manifest.command!r}, not a pipeline")
     params = manifest.parameters
     return run_pipeline(
-        n=int(params["n"]),
-        two_d=int(params["two_d"]),
+        n=params["n"],
+        two_d=params["two_d"],
         mode=str(params["mode"]),
         workers=workers if workers is not None else manifest.worker_count,
         out_dir=out_dir,
@@ -303,7 +320,7 @@ def run_shape(store_path: str) -> tuple[int, int] | None:
     manifest = RunManifest.read(path)
     if manifest.command != "pipeline":
         return None
-    return int(manifest.parameters["n"]), int(manifest.parameters["two_d"])
+    return manifest.parameters["n"], manifest.parameters["two_d"]
 
 
 @dataclass(frozen=True)
@@ -317,37 +334,17 @@ class ConjectureReport:
     counterexamples: tuple[dict, ...]
 
     @property
-    def total_simplices(self) -> int:
-        return self.simplicial.total_count
-
-    @property
-    def total_lattices(self) -> int:
-        return self.lattices.total_count
-
-    @property
-    def h_lattice_classes(self) -> int:
-        return self.lattices.h_count
-
-    @property
-    def m_lattice_classes(self) -> int:
-        return self.lattices.m_count
-
-    @property
-    def intermediate_lattice_classes(self) -> int:
-        return self.lattices.intermediate_count
-
-    @property
     def passed(self) -> bool:
         return not self.counterexamples
 
     def to_json_dict(self) -> dict:
         return {
             "two_d": self.two_d,
-            "total_simplices": self.total_simplices,
-            "total_lattices": self.total_lattices,
-            "h_lattice_classes": self.h_lattice_classes,
-            "m_lattice_classes": self.m_lattice_classes,
-            "intermediate_lattice_classes": self.intermediate_lattice_classes,
+            "total_simplices": self.simplicial.total_count,
+            "total_lattices": self.lattices.total_count,
+            "h_lattice_classes": self.lattices.h_count,
+            "m_lattice_classes": self.lattices.m_count,
+            "intermediate_lattice_classes": self.lattices.intermediate_count,
             "passed": self.passed,
             "counterexamples": list(self.counterexamples),
         }

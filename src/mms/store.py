@@ -1,13 +1,15 @@
-"""Persistent key-value store of MMS records: sorted JSONL shards, a k-way
-deterministic merge, offset-indexed lookup, statistics, export.
+"""Persistent store of MMS records: sorted JSONL shards, a k-way
+deterministic merge, statistics, export.
 
-One record per canonical lattice key.  A record stores one representative
-simplex plus the three counts that are invariants of the key's equivalence
-class (#MMS, #conv, #floor); simplicial-set statistics are recovered by
-multiplicity weighting instead of storing every simplex.  The classification
-and h-ratio of a record are derived from its counts: they are written to
-each line for readers, and a line whose stored values disagree with its
-counts is rejected as malformed.
+One record per canonical lattice key, in strictly increasing key order: the
+one reader, :func:`_read_records`, streams a shard or store from start to
+end and refuses a key that is not greater than the key before it.  A record
+stores one representative simplex plus the three counts that are invariants
+of the key's equivalence class (#MMS, #conv, #floor); simplicial-set
+statistics are recovered by multiplicity weighting instead of storing every
+simplex.  The classification and h-ratio of a record are derived from its
+counts: they are written to each line for readers, and a line whose stored
+values disagree with its counts is rejected as malformed.
 
 A shard holds at most one record per key (the task that writes it has
 already grouped its simplices).  The merge combines the records of one key
@@ -29,9 +31,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import IO, Iterable, Iterator
 
-from .engine import Classification, HRatio, _check_derived, classify, compute_mms, h_ratio
+from .engine import Classification, HRatio, classify, compute_mms, h_ratio
 from .geometry import SimplicialSet, parse_point
 
 HISTOGRAM_BINS = 20
@@ -122,7 +125,10 @@ class MmsRecord:
             )
         except TypeError as exc:  # a count that is not a JSON number
             raise ValueError(f"bad field type: {exc}") from exc
-        _check_derived(rec, payload)
+        if rec.classification.value != payload["classification"]:
+            raise ValueError("classification does not match stored counts")
+        if str(rec.h_ratio) != payload["h_ratio"]:
+            raise ValueError("h-ratio does not match stored counts")
         return rec
 
 
@@ -131,9 +137,6 @@ class Shard:
 
     def __init__(self) -> None:
         self._records: dict[str, MmsRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def put(self, record: MmsRecord) -> None:
         """Add a record; ValueError if the shard already holds its key."""
@@ -173,43 +176,38 @@ def _combine(records: list[MmsRecord]) -> MmsRecord:
     )
 
 
-def _read_records(path: str) -> Iterator[tuple[int, int, MmsRecord]]:
-    """(line number, byte offset, record) for each non-blank line of a shard
-    or store; a malformed line raises StoreFormatError naming path and line."""
-    offset = 0
+def _read_records(path: str) -> Iterator[MmsRecord]:
+    """The records of a shard or store in file order, skipping blank lines.
+    StoreFormatError naming path and line when a line is malformed or its
+    key is not greater than the key before it."""
+    last_key: str | None = None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.decode("utf-8").strip()
-            if line:
-                try:
-                    rec = MmsRecord.from_json(line)
-                except (ValueError, KeyError) as exc:
-                    raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
-                yield lineno, offset, rec
-            offset += len(raw)
-
-
-def _iter_shard(path: str) -> Iterator[tuple[str, MmsRecord]]:
-    last_key: str | None = None
-    for lineno, _, rec in _read_records(path):
-        if last_key is not None and rec.key <= last_key:
-            raise StoreFormatError(f"{path}:{lineno}: keys out of order")
-        last_key = rec.key
-        yield rec.key, rec
+            if not line:
+                continue
+            try:
+                rec = MmsRecord.from_json(line)
+            except (ValueError, KeyError) as exc:
+                raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
+            if last_key is not None and rec.key <= last_key:
+                raise StoreFormatError(f"{path}:{lineno}: keys out of order")
+            last_key = rec.key
+            yield rec
 
 
 def merge(shard_paths: Iterable[str], out_path: str) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
-    offset index.  The records of each key are combined once (see
-    ``_combine``), so shard order cannot affect the output.
+    ``.idx`` sidecar of key offsets.  The records of each key are combined
+    once (see ``_combine``), so shard order cannot affect the output.
     Every AUDIT_STRIDE-th record is recomputed from its representative.
     """
-    streams = [_iter_shard(p) for p in sorted(shard_paths)]
-    merged = heapq.merge(*streams, key=lambda kv: kv[0])
+    by_key = attrgetter("key")
+    merged = heapq.merge(*(_read_records(p) for p in sorted(shard_paths)), key=by_key)
     offset = 0
     with atomic_open(out_path) as out, atomic_open(out_path + ".idx") as idx:
-        for count, (key, group) in enumerate(itertools.groupby(merged, key=lambda kv: kv[0])):
-            rec = _combine([rec for _, rec in group])
+        for count, (key, group) in enumerate(itertools.groupby(merged, key=by_key)):
+            rec = _combine(list(group))
             if count % AUDIT_STRIDE == 0:
                 _audit_record(rec)
             line = rec.to_json() + "\n"
@@ -249,64 +247,47 @@ def _check_index_end(path: str, idx_path: str, last: int | None) -> None:
 
 
 class Store:
-    """A merged, sorted JSONL store with a key-to-offset sidecar index."""
+    """A merged JSONL store: one record per key, keys strictly increasing,
+    with a ``.idx`` sidecar of key offsets.  Records are read by streaming
+    the file (see :func:`_read_records`), so a repeated or out-of-order key
+    is refused with StoreFormatError naming path and line."""
 
-    def __init__(self, path: str, index: list[tuple[str, int]]):
+    def __init__(self, path: str, size: int):
         self.path = path
-        self._index = index
+        self._size = size
 
     @classmethod
     def open(cls, path: str) -> "Store":
-        """Open a store file and its ``.idx`` sidecar, or index the file
-        itself when there is no sidecar.  StoreFormatError when a sidecar
+        """Open a store file and check its ``.idx`` sidecar, or parse every
+        record when there is no sidecar.  StoreFormatError when a sidecar
         line is malformed or the sidecar does not end where the file does:
         its last offset must start the file's final, newline-terminated
-        line, and an empty sidecar needs an empty file."""
+        line, and an empty sidecar needs an empty file.  Only the record
+        count and the last offset are kept."""
         idx_path = path + ".idx"
-        index: list[tuple[str, int]] = []
-        if os.path.exists(idx_path):
-            with open(idx_path, "r", encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        key, off = line.rsplit("\t", 1)
-                        index.append((key, int(off)))
-                    except ValueError as exc:
-                        raise StoreFormatError(f"{idx_path}:{lineno}: bad index line") from exc
-            _check_index_end(path, idx_path, index[-1][1] if index else None)
-        else:
-            index = [(rec.key, offset) for _, offset, rec in _read_records(path)]
-        return cls(path, index)
+        if not os.path.exists(idx_path):
+            return cls(path, sum(1 for _ in _read_records(path)))
+        size, last = 0, None
+        with open(idx_path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    _, off = line.rsplit("\t", 1)
+                    last = int(off)
+                except ValueError as exc:
+                    raise StoreFormatError(f"{idx_path}:{lineno}: bad index line") from exc
+                size += 1
+        _check_index_end(path, idx_path, last)
+        return cls(path, size)
 
     def __len__(self) -> int:
-        return len(self._index)
-
-    def keys(self) -> list[str]:
-        return [k for k, _ in self._index]
-
-    def get(self, key: str) -> MmsRecord | None:
-        lo, hi = 0, len(self._index)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._index[mid][0] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self._index) or self._index[lo][0] != key:
-            return None
-        offset = self._index[lo][1]
-        with open(self.path, "r", encoding="utf-8") as fh:
-            fh.seek(offset)
-            line = fh.readline()
-        try:
-            return MmsRecord.from_json(line)
-        except (ValueError, KeyError) as exc:
-            raise StoreFormatError(f"{self.path}: offset {offset}: bad record: {exc}") from exc
+        """The number of records, counted once by :meth:`open`."""
+        return self._size
 
     def __iter__(self) -> Iterator[MmsRecord]:
-        return (rec for _, _, rec in _read_records(self.path))
+        return _read_records(self.path)
 
 
 @dataclass(frozen=True)
@@ -465,7 +446,9 @@ def stats_csv(
 def export(store: Store, fmt: str, path: str, shape: tuple[int, int] | None = None) -> None:
     """Deterministic dumps: "jsonl" writes the records in key order (byte
     round-trip with the store file), "csv" writes the two-scope stats table
-    for ``shape`` = (n, 2d).  Without a shape, n and 2d are derived from the
+    for ``shape`` = (n, 2d).  Key order is enforced: a store whose keys
+    repeat or go out of order raises StoreFormatError, and ``path`` is left
+    as it was.  Without a shape, n and 2d are derived from the
     stored representatives: the ambient dimension and the largest vertex
     degree, which is below the run's 2d when no class reaches it."""
     if fmt == "jsonl":

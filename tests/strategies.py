@@ -37,3 +37,14 @@ def _leibniz_det(m):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
     return total
+
+
+def mapped(delta, matrix=None, offset=None):
+    """The image of ``delta`` under x -> Ax + b, validated by
+    ``SimplicialSet.of``; A defaults to the identity and b to zero."""
+    n = delta.ambient_dim
+    a = matrix or [[int(i == j) for j in range(n)] for i in range(n)]
+    b = offset or (0,) * n
+    return SimplicialSet.of(
+        [tuple(sum(x * c for x, c in zip(row, p)) + o for row, o in zip(a, b)) for p in delta.points]
+    )

@@ -11,6 +11,8 @@ from math import gcd
 
 import pytest
 
+from strategies import mapped
+
 from mms.canon import canonical_key
 from mms.engine import (
     Classification,
@@ -116,10 +118,10 @@ def test_acceptance_05_planar_dichotomy_to_2d30():
     # the degree-30 universe contains every planar simplex of lower degree
     survey = check_conjecture(30, workers=1)
     assert survey.passed is True
-    assert survey.intermediate_lattice_classes == 0
+    assert survey.lattices.intermediate_count == 0
     baseline = check_conjecture(6, workers=1)
     assert baseline.passed is True
-    assert baseline.m_lattice_classes == 1  # the Motzkin class alone
+    assert baseline.lattices.m_count == 1  # the Motzkin class alone
 
 
 def _random_unimodular(rng, n):
@@ -152,14 +154,14 @@ def test_acceptance_06_affine_invariance():
         delta = sample_simplex(n, two_d, seed=7000 + case, index=0)
         a = _random_unimodular(rng, n)
         b = tuple(2 * rng.randint(-3, 3) for _ in range(n))
-        image = delta.transformed(a, b)
+        image = mapped(delta, a, b)
         r_base = compute_mms(delta)
         r_image = compute_mms(image)
         assert {_apply(a, b, p) for p in r_base.mms_points} == set(r_image.mms_points)
         assert str(r_base.h_ratio) == str(r_image.h_ratio)
         neg_b = tuple(-c for c in b)
         assert (
-            canonical_key(image.translated(neg_b)).key_text
+            canonical_key(mapped(image, offset=neg_b)).key_text
             == canonical_key(delta).key_text
         )
 

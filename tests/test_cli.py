@@ -335,6 +335,80 @@ def test_pipeline_replay_rejects_bad_manifest_fields(cli_run_dir, capsys, tmp_pa
     assert "missing fields ['seed']" in err
 
 
+def bad_manifest_runs(cli_run_dir, tmp_path, field, value):
+    """A copy of the run's store beside a manifest whose ``field`` (top-level
+    or ``parameters.<name>``) is ``value``; the (export, replay) command
+    lines that read it."""
+    with open(os.path.join(cli_run_dir, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    section, _, name = field.rpartition(".")
+    (manifest[section] if section else manifest)[name] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    for name in ("merged.jsonl", "merged.jsonl.idx"):
+        (tmp_path / name).write_bytes(Path(cli_run_dir, name).read_bytes())
+    export = ["export", "--store", str(tmp_path / "merged.jsonl"), "--format", "csv",
+              "--out", str(tmp_path / "stats.csv")]
+    replay = ["pipeline", "--replay", str(tmp_path / "manifest.json"),
+              "--out", str(tmp_path / "replayed")]
+    return export, replay
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("parameters", [], "parameters must be an object"),
+        ("parameters.n", "2", "parameters.n must be an integer"),
+        ("parameters.two_d", True, "parameters.two_d must be an integer"),
+        ("parameters.count", "abc", "parameters.count must be an integer or null"),
+        ("seed", "abc", "seed must be an integer or null"),
+        ("worker_count", 1.5, "worker_count must be an integer"),
+    ],
+)
+def test_bad_manifest_field_types_exit_invalid(cli_run_dir, tmp_path, field, value, message):
+    for argv in bad_manifest_runs(cli_run_dir, tmp_path, field, value):
+        proc = run_python("-m", "mms.cli", *argv)
+        assert proc.returncode == EXIT_INVALID
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("mms: error: ")
+        assert f"bad manifest: {message}" in proc.stderr
+
+
+def test_replay_without_workers_ignores_mms_workers(cli_run_dir, capsys, monkeypatch, tmp_path):
+    # replay runs with the manifest's worker count, so MMS_WORKERS is never read
+    monkeypatch.setenv("MMS_WORKERS", "abc")
+    out = str(tmp_path / "replayed")
+    code, _, _ = run_main(
+        capsys, "pipeline", "--replay", os.path.join(cli_run_dir, "manifest.json"), "--out", out
+    )
+    assert code == EXIT_OK
+    assert Path(out, "merged.jsonl").read_bytes() == Path(cli_run_dir, "merged.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["stats", "jsonl", "csv"])
+def test_store_with_a_repeated_line_is_refused(capsys, tmp_path, command):
+    # a 3-class store with its second line written twice and no sidecar
+    run = str(tmp_path / "run")
+    assert main(["pipeline", "--dim", "2", "--deg", "4", "--workers", "1", "--out", run]) == EXIT_OK
+    capsys.readouterr()
+    store = os.path.join(run, "merged.jsonl")
+    with open(store, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 3
+    with open(store, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:2] + lines[1:])
+    os.remove(store + ".idx")
+    out = str(tmp_path / "dump")
+    argv = ["stats", "--store", store]
+    if command != "stats":
+        argv = ["export", "--store", store, "--format", command, "--out", out]
+    code, text, err = run_main(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert err == f"mms: error: {store}:3: keys out of order\n"
+    assert not os.path.exists(out)
+
+
 def test_stats_cli_scopes(cli_run_dir, capsys):
     store = os.path.join(cli_run_dir, "merged.jsonl")
     code, out, _ = run_main(capsys, "stats", "--store", store, "--scope", "both")
@@ -528,5 +602,5 @@ def test_planar_survey_script_reports_the_dichotomy_check():
     assert proc.stdout.splitlines() == [
         f"simplicial sets {sim.total_count}  "
         f"(H {sim.h_count}, M {sim.m_count}, INTERMEDIATE {sim.intermediate_count})",
-        f"lattice classes {report.total_lattices}",
+        f"lattice classes {report.lattices.total_count}",
     ]

@@ -183,16 +183,17 @@ def test_conjecture_check_small_degree():
     report = check_conjecture(6)
     assert report.passed is True
     assert report.counterexamples == ()
-    assert report.total_simplices == 30
-    assert report.total_lattices == 10
-    assert (
-        report.h_lattice_classes,
-        report.m_lattice_classes,
-        report.intermediate_lattice_classes,
-    ) == (9, 1, 0)
     payload = report.to_json_dict()
-    assert payload["passed"] is True
-    assert payload["two_d"] == 6
+    assert payload == {
+        "two_d": 6,
+        "total_simplices": 30,
+        "total_lattices": 10,
+        "h_lattice_classes": 9,
+        "m_lattice_classes": 1,
+        "intermediate_lattice_classes": 0,
+        "passed": True,
+        "counterexamples": [],
+    }
 
 
 def test_conjecture_check_reports_each_intermediate_class(monkeypatch, tmp_path):
@@ -203,7 +204,7 @@ def test_conjecture_check_reports_each_intermediate_class(monkeypatch, tmp_path)
     )
     report = check_conjecture(6, out_dir=str(tmp_path))
     assert not report.passed
-    assert report.intermediate_lattice_classes == len(report.counterexamples) == 10
+    assert report.lattices.intermediate_count == len(report.counterexamples) == 10
     for found in report.counterexamples:
         delta = SimplicialSet.parse(found["delta"])
         result = compute_mms(delta)

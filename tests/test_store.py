@@ -1,6 +1,7 @@
-"""Store layer: shards, deterministic merge, lookup, stats, export."""
+"""Store layer: shards, deterministic merge, the streaming reader, stats, export."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from mms.store import (
     Store,
     StoreAuditError,
     StoreFormatError,
-    _iter_shard,
+    _read_records,
     atomic_open,
     export,
     merge,
@@ -110,7 +111,6 @@ def test_shard_refuses_a_second_record_for_a_key():
     sh.put(record_for(MOTZKIN, 2))
     with pytest.raises(ValueError, match="already holds a record for key 2x2w1:2,4;0,6"):
         sh.put(record_for(TWIN, 3))
-    assert len(sh) == 1
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["wide-first", "tall-first"])
@@ -135,16 +135,16 @@ def test_merge_rejects_conflicting_invariants(tmp_path, field):
         merge(paths, str(tmp_path / "m.jsonl"))
 
 
-def test_combine_requires_equal_keys():
-    sh = Shard()
-    sh.put(record_for(MOTZKIN))
-    sh.put(record_for(HURWITZ))
-    assert len(sh) == 2  # distinct keys stay separate
+def test_combine_requires_equal_keys(tmp_path):
+    # distinct keys stay separate, in the shard and through the merge
+    (path,) = write_shards(tmp_path, [record_for(MOTZKIN), record_for(HURWITZ)])
+    assert list(_read_records(path)) == [record_for(MOTZKIN), record_for(HURWITZ)]
+    assert list(merge([path], str(tmp_path / "m.jsonl"))) == list(_read_records(path))
 
 
 def test_shard_writes_sorted_jsonl(tmp_path):
     path = golden_shard_paths(tmp_path)[0]
-    keys = [key for key, _ in _iter_shard(path)]
+    keys = [rec.key for rec in _read_records(path)]
     assert keys == sorted(keys)
     assert keys == [
         "2x2w1:2,4;0,6",
@@ -154,17 +154,13 @@ def test_shard_writes_sorted_jsonl(tmp_path):
 
 
 def test_iter_shard_rejects_out_of_order(tmp_path):
+    # a key must be greater than the one before it: neither lower nor equal
     path = str(tmp_path / "bad.jsonl")
-    a = record_for(HURWITZ).to_json()
-    b = record_for(MOTZKIN).to_json()
-    with open(path, "w") as fh:
-        fh.write(a + "\n" + b + "\n")
-    with pytest.raises(StoreFormatError, match="keys out of order"):
-        list(_iter_shard(path))
-    try:
-        list(_iter_shard(path))
-    except StoreFormatError as exc:
-        assert str(exc).startswith(f"{path}:2:")
+    for first, second in [(HURWITZ, MOTZKIN), (MOTZKIN, MOTZKIN)]:
+        with open(path, "w") as fh:
+            fh.write(record_for(first).to_json() + "\n" + record_for(second).to_json() + "\n")
+        with pytest.raises(StoreFormatError, match=f"^{path}:2: keys out of order$"):
+            list(_read_records(path))
 
 
 def test_iter_shard_rejects_garbage_line(tmp_path):
@@ -172,14 +168,14 @@ def test_iter_shard_rejects_garbage_line(tmp_path):
     with open(path, "w") as fh:
         fh.write("not json\n")
     with pytest.raises(StoreFormatError, match="bad record"):
-        list(_iter_shard(path))
+        list(_read_records(path))
 
 
 def test_iter_shard_skips_blank_lines(tmp_path):
     path = str(tmp_path / "gaps.jsonl")
     with open(path, "w") as fh:
         fh.write("\n" + record_for(MOTZKIN).to_json() + "\n\n")
-    assert len(list(_iter_shard(path))) == 1
+    assert list(_read_records(path)) == [record_for(MOTZKIN)]
 
 
 def test_merge_combines_across_shards(tmp_path):
@@ -194,8 +190,7 @@ def test_merge_combines_across_shards(tmp_path):
     b.write(pb)
     store = merge([pa, pb], str(tmp_path / "m.jsonl"))
     assert len(store) == 3
-    rec = store.get("2x2w1:2,4;0,6")
-    assert rec is not None
+    rec = next(rec for rec in store if rec.key == "2x2w1:2,4;0,6")
     assert rec.simplex_multiplicity == 5
     assert rec.representative == "0,0;2,0;4,6"
 
@@ -237,29 +232,34 @@ def test_merge_audit_stride_skips_later_records(tmp_path):
         fh.write(record_for(MOTZKIN).to_json() + "\n")
         fh.write(record_for(HURWITZ).to_json() + "\n")
         fh.write(tampered.to_json() + "\n")
-    store = merge([path], str(tmp_path / "m.jsonl"))
-    rec = store.get(tampered.key)
-    assert rec is not None and rec.mms_size == 19
+    *_, rec = merge([path], str(tmp_path / "m.jsonl"))
+    assert rec.key == tampered.key and rec.mms_size == 19
 
 
-def test_store_get_and_iteration_order(tmp_path):
-    store = merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"))
+def test_store_iteration_order(tmp_path):
+    out = str(tmp_path / "m.jsonl")
+    store = merge(golden_shard_paths(tmp_path), out)
     assert len(store) == 3
-    assert store.keys() == sorted(store.keys())
-    assert store.get("2x2w1:9,9;9,9") is None
-    hur = store.get("2x2w1:4,0;0,4")
-    assert hur is not None and hur.classification is Classification.H
-    assert [rec.key for rec in store] == store.keys()
+    records = list(store)
+    keys = [rec.key for rec in records]
+    assert keys == sorted(keys)
+    assert keys[1] == "2x2w1:4,0;0,4" and records[1].classification is Classification.H
+    # the sidecar lists the same keys, each at the offset of its line
+    with open(out, "rb") as fh:
+        starts = [0] + list(itertools.accumulate(len(line) for line in fh))[:-1]
+    with open(out + ".idx") as fh:
+        assert fh.read() == "".join(f"{k}\t{o}\n" for k, o in zip(keys, starts))
 
 
 def test_store_open_rebuilds_missing_index(tmp_path):
+    # without a sidecar, open parses every record and iteration is unchanged
     out = str(tmp_path / "m.jsonl")
     merge(golden_shard_paths(tmp_path), out)
     with_idx = Store.open(out)
     os.remove(out + ".idx")
     rebuilt = Store.open(out)
-    assert rebuilt.keys() == with_idx.keys()
-    assert rebuilt.get("2x2w1:2,4;0,6") == with_idx.get("2x2w1:2,4;0,6")
+    assert len(rebuilt) == len(with_idx) == 3
+    assert list(rebuilt) == list(with_idx)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +314,7 @@ def test_atomic_open_writes_a_device_in_place():
     assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
 
 
-def test_store_get_rejects_inconsistent_record(tmp_path):
+def test_store_iteration_rejects_inconsistent_record(tmp_path):
     out = str(tmp_path / "m.jsonl")
     merge(golden_shard_paths(tmp_path), out)
     with open(out) as fh:
@@ -322,8 +322,9 @@ def test_store_get_rejects_inconsistent_record(tmp_path):
     # the Motzkin class: counts 6, 10, 6 say M; the same-length edit says H
     with open(out, "w") as fh:
         fh.write(text.replace('"classification":"M"', '"classification":"H"', 1))
-    with pytest.raises(StoreFormatError, match=f"{out}: offset 0: bad record"):
-        Store.open(out).get("2x2w1:2,4;0,6")
+    store = Store.open(out)  # the sidecar still ends where the file does
+    with pytest.raises(StoreFormatError, match=f"{out}:1: bad record: classification"):
+        list(store)
 
 
 @pytest.fixture()
