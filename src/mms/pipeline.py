@@ -1,21 +1,24 @@
-"""Batch orchestration: enumerate or sample, compute MMS per lattice class,
-canonicalize, shard, merge, and summarize.
+"""Batch orchestration: enumerate or sample, canonicalize, shard, merge,
+compute MMS per lattice class, and summarize.
 
-Each stage does its job once.  A task groups its simplices by canonical key
-in ``_aggregate_to_shard`` (multiplicities sum, the least vertex tuple
-represents the class) and writes one record per key to its shard; the merge
-combines each key's records across shards once; one pass over the merged
-store yields the statistics of both scopes.
+A run has two phases, in one pool of workers (or none at ``workers=1``).
+Phase 1: each task walks its partition or samples its block, keys each
+simplex, and groups its simplices by canonical key in
+``_aggregate_to_shard``: per key the multiplicity and the least and the
+greatest vertex tuple.  It writes one shard line per key and computes no
+MMS.  Phase 2: :func:`mms.store.merge` combines each key's lines across
+shards once and has the counts of each merged class computed once, from
+its least member, through the pool's ordered ``imap``; every
+``AUDIT_STRIDE``-th class is audited from its greatest member.  One pass
+over the merged store then yields the statistics of both scopes.
 
 Determinism contract: every shard is a pure function of (parameters, its
-partition or sample-block), never of worker scheduling.  Records carry the
-representative whose vertex tuple is least *within their shard*, and the
-merge keeps the least vertex tuple again, so the merged representative is
-the tuple-minimal simplex of its class over the whole run (every simplex
-enumerated, or every sample drawn), however the work was distributed.
-Canonical keys resolve through the orbit table in :mod:`mms.canon`; the
-per-process key -> (#MMS, #conv, #floor) cache only skips recomputation of
-counts that are equal across each lattice class by invariance.
+partition or sample-block), never of worker scheduling, and the merge keeps
+the least of the least members, so the merged representative is the
+tuple-minimal simplex of its class over the whole run (every simplex
+enumerated, or every sample drawn), however the work was distributed.  The
+counts are written in key order whatever order the workers finish in.
+Canonical keys resolve through the orbit table in :mod:`mms.canon`.
 """
 from __future__ import annotations
 
@@ -28,17 +31,19 @@ import tempfile
 from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from typing import Iterable
 
 from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
 from .engine import Classification, compute_mms
 from .enumeration import _iter_full_rank_sets, check_shape, vertex_list
-from .geometry import Point, SimplicialSet
+from .geometry import Point, SimplicialSet, parse_point
 from .sampler import SamplerConfig, sample_simplex
 from .store import (
-    MmsRecord,
+    Counts,
     Shard,
+    ShardLine,
     StatsSummary,
     Store,
     atomic_open,
@@ -49,6 +54,9 @@ from .store import (
 )
 
 SAMPLE_BLOCK = 2000  # fixed block size; results never depend on worker count
+# classes per pool round trip in phase 2: at one class each, the round trips
+# add about 30% to the CPU time of a 2d=50 survey
+CLASS_CHUNK = 32
 
 
 @dataclass
@@ -72,8 +80,9 @@ class RunManifest:
     def read(cls, path: str) -> "RunManifest":
         """Load a manifest; ValueError names any unknown or missing field,
         and any field of the wrong type: ``parameters`` must be an object
-        with integer ``n`` and ``two_d`` and an integer or no ``count``,
-        ``seed`` an integer or null and ``worker_count`` an integer."""
+        with integer ``n`` and ``two_d``, an integer or no ``count`` and a
+        ``mode`` of "full" or "sample", ``seed`` an integer or null and
+        ``worker_count`` an integer."""
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
@@ -99,46 +108,45 @@ class RunManifest:
             if type(value) is not int and not (nullable and value is None):
                 kind = "an integer or null" if nullable else "an integer"
                 raise ValueError(f"{path}: bad manifest: {field} must be {kind}")
+        if params.get("mode") not in ("full", "sample"):
+            raise ValueError(f'{path}: bad manifest: parameters.mode must be "full" or "sample"')
         return cls(**payload)
 
 
-# ---------------------------------------------------------------------------
-# per-process cache of the three class counts (mms_size, conv_count,
-# floor_count): they are invariants of the lattice class, and a record's
-# classification and h-ratio are derived from them
-
-_class_invariants: dict[str, tuple[int, int, int]] = {}
+# (key, count, least and greatest nonzero vertices) of simplices a task met
+Member = tuple[str, int, tuple[Point, ...], tuple[Point, ...]]
 
 
-def _invariants_for(key: str, delta: SimplicialSet) -> tuple[int, int, int]:
-    inv = _class_invariants.get(key)
-    if inv is None:
-        result = compute_mms(delta)
-        inv = (result.mms_size, result.conv_count, result.floor_count)
-        _class_invariants[key] = inv
-    return inv
+def _invariants_for(delta: SimplicialSet) -> Counts:
+    """The three counts (#MMS, #conv, #floor) of ``delta``'s lattice class:
+    they are invariants of the class, and a record's classification and
+    h-ratio are derived from them."""
+    result = compute_mms(delta)
+    return result.mms_size, result.conv_count, result.floor_count
 
 
-def _aggregate_to_shard(
-    members: Iterable[tuple[str, int, tuple[Point, ...]]], n: int, shard_path: str
-) -> str:
-    """Group a task's (key, count, nonzero vertices) members by key, the
-    only place a task combines them: counts sum and the least vertex tuple
-    represents the class.  Writes one record per key to ``shard_path``."""
-    groups: dict[str, list] = {}
-    for key, count, verts in members:
-        ent = groups.get(key)
-        if ent is None:
-            groups[key] = [count, verts]
-        else:
-            ent[0] += count
-            if verts < ent[1]:
-                ent[1] = verts
+def _class_task(line: ShardLine) -> tuple[ShardLine, Counts]:
+    """Phase 2: one merged class with its counts, from its least member.
+    The member is not validated again: phase 1 wrote it from a simplex,
+    and validation costs about 5% of a 4x16 class's MMS."""
+    points = tuple(map(parse_point, line.least.split(";")))
+    return line, _invariants_for(SimplicialSet(points))
+
+
+def _aggregate_to_shard(members: Iterable[Member], n: int, shard_path: str) -> str:
+    """Phase 1: group a task's members by key, the only place a task
+    combines them: counts sum, and the least and the greatest vertex tuples
+    are kept.  Writes one line per key to ``shard_path``; no MMS is
+    computed here."""
+    groups: dict[str, tuple] = {}
+    for key, count, least, greatest in members:
+        total, lo, hi = groups.get(key, (0, least, greatest))
+        groups[key] = (total + count, min(lo, least), max(hi, greatest))
     origin = (0,) * n
     shard = Shard()
-    for key, (count, verts) in groups.items():
-        rep = SimplicialSet((origin,) + verts)
-        shard.put(MmsRecord(key, str(rep), *_invariants_for(key, rep), count))
+    for key, (count, *ends) in groups.items():
+        least, greatest = (str(SimplicialSet((origin,) + verts)) for verts in ends)
+        shard.put(ShardLine(key, least, greatest, count))
     shard.write(shard_path)
     return shard_path
 
@@ -146,18 +154,20 @@ def _aggregate_to_shard(
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
     rows = vertex_list(n, two_d)
-    # HNF columns -> [count, least index tuple]; the walk runs in lex order,
-    # so the first index tuple of each HNF is its least
+    # HNF columns -> [count, least index tuple, greatest index tuple]; the
+    # walk runs in lex order, so the first index tuple of each HNF is its
+    # least and the last its greatest
     by_hnf: dict[tuple[Point, ...], list] = {}
     for idx, cols in _iter_full_rank_sets(rows, n, partition):
         ent = by_hnf.get(cols)
         if ent is None:
-            by_hnf[cols] = [1, idx]
+            by_hnf[cols] = [1, idx, idx]
         else:
             ent[0] += 1
+            ent[2] = idx
     members = [
-        (_key_of_hnf(transpose(cols)), count, tuple(rows[i] for i in idx))
-        for cols, (count, idx) in by_hnf.items()
+        (_key_of_hnf(transpose(cols)), count, *(tuple(rows[i] for i in idx) for idx in ends))
+        for cols, (count, *ends) in by_hnf.items()
     ]
     return _aggregate_to_shard(members, n, shard_path)
 
@@ -167,24 +177,8 @@ def _sample_task(args: tuple) -> str:
     members = []
     for index in range(lo, hi):
         verts = sample_simplex(n, two_d, seed, index).points[1:]  # origin is the lex-min point
-        members.append((_key_of_hnf(hnf(tuple(zip(*verts)))), 1, verts))
+        members.append((_key_of_hnf(hnf(tuple(zip(*verts)))), 1, verts, verts))
     return _aggregate_to_shard(members, n, shard_path)
-
-
-def _run_tasks(task_fn, task_args: list[tuple], workers: int, label: str) -> list[str]:
-    """Shard paths of every task, run in this process or in a pool of
-    ``workers``, with a progress line about every tenth task."""
-    total = len(task_args)
-    step = max(1, total // 10)
-    serial = workers <= 1 or total <= 1
-    results: list[str] = []
-    with (nullcontext() if serial else multiprocessing.Pool(processes=workers)) as pool:
-        paths = map(task_fn, task_args) if serial else pool.imap_unordered(task_fn, task_args)
-        for done, path in enumerate(paths, start=1):
-            results.append(path)
-            if done % step == 0 or done == total:
-                print(f"[mms] {label}: {done}/{total}", file=sys.stderr)
-    return results
 
 
 def default_workers() -> int:
@@ -244,37 +238,38 @@ def run_pipeline(
     )
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest.write(manifest_path)
+    shard_path = os.path.join(shard_dir, "shard-{:05d}.jsonl").format
+    serial = workers == 1
     try:
-        if mode == "full":
-            rows = vertex_list(n, two_d)
-            parts = range(0, max(0, len(rows) - n + 1))
-            task_args = [
-                (n, two_d, p, os.path.join(shard_dir, f"shard-{p:05d}.jsonl"))
-                for p in parts
-            ]
-            shard_paths = _run_tasks(_enum_task, task_args, workers, "partitions")
-        else:
-            assert seed is not None and count is not None
-            blocks = [
-                (lo, min(lo + SAMPLE_BLOCK, count))
-                for lo in range(0, count, SAMPLE_BLOCK)
-            ]
-            task_args = [
-                (
-                    n,
-                    two_d,
-                    seed,
-                    lo,
-                    hi,
-                    os.path.join(shard_dir, f"shard-{i:05d}.jsonl"),
-                )
-                for i, (lo, hi) in enumerate(blocks)
-            ]
-            shard_paths = _run_tasks(_sample_task, task_args, workers, "sample blocks")
-        manifest.shard_paths = sorted(shard_paths)
-        merged_path = os.path.join(out_dir, "merged.jsonl")
-        print(f"[mms] merging {len(shard_paths)} shards", file=sys.stderr)
-        store = merge(manifest.shard_paths, merged_path)
+        # one pool serves both phases
+        with (nullcontext() if serial else multiprocessing.Pool(processes=workers)) as pool:
+            if mode == "full":
+                task_fn, label = _enum_task, "partitions"
+                parts = range(0, max(0, len(vertex_list(n, two_d)) - n + 1))
+                task_args = [(n, two_d, p, shard_path(p)) for p in parts]
+            else:
+                assert seed is not None and count is not None
+                task_fn, label = _sample_task, "sample blocks"
+                task_args = [
+                    (n, two_d, seed, lo, min(lo + SAMPLE_BLOCK, count), shard_path(i))
+                    for i, lo in enumerate(range(0, count, SAMPLE_BLOCK))
+                ]
+            # phase 1, with a progress line about every tenth task
+            total, shard_paths = len(task_args), []
+            imap = map if serial else pool.imap_unordered
+            for done, path in enumerate(imap(task_fn, task_args), start=1):
+                shard_paths.append(path)
+                if done % max(1, total // 10) == 0 or done == total:
+                    print(f"[mms] {label}: {done}/{total}", file=sys.stderr)
+            manifest.shard_paths = sorted(shard_paths)
+            print(f"[mms] merging {len(shard_paths)} shards", file=sys.stderr)
+            store = merge(
+                manifest.shard_paths,
+                os.path.join(out_dir, "merged.jsonl"),
+                partial(map, _class_task)
+                if serial
+                else partial(pool.imap, _class_task, chunksize=CLASS_CHUNK),
+            )
         sim, lat = stats(store)
         with atomic_open(os.path.join(out_dir, "stats.csv")) as fh:
             fh.write(stats_csv([sim, lat], n, two_d))
@@ -302,7 +297,7 @@ def replay(manifest_path: str, out_dir: str, workers: int | None = None) -> tupl
     return run_pipeline(
         n=params["n"],
         two_d=params["two_d"],
-        mode=str(params["mode"]),
+        mode=params["mode"],
         workers=workers if workers is not None else manifest.worker_count,
         out_dir=out_dir,
         seed=manifest.seed,

@@ -1,22 +1,27 @@
 """Persistent store of MMS records: sorted JSONL shards, a k-way
-deterministic merge, statistics, export.
+deterministic merge that computes each class's counts, statistics, export.
 
-One record per canonical lattice key, in strictly increasing key order: the
-one reader, :func:`_read_records`, streams a shard or store from start to
-end and refuses a key that is not greater than the key before it.  A record
-stores one representative simplex plus the three counts that are invariants
-of the key's equivalence class (#MMS, #conv, #floor); simplicial-set
-statistics are recovered by multiplicity weighting instead of storing every
-simplex.  The classification and h-ratio of a record are derived from its
-counts: they are written to each line for readers, and a line whose stored
-values disagree with its counts is rejected as malformed.
+One line per canonical lattice key, in strictly increasing key order: the
+one reader, :func:`_read_lines`, streams a shard or store from start to end
+and refuses a key that is not greater than the key before it.
 
-A shard holds at most one record per key (the task that writes it has
-already grouped its simplices).  The merge combines the records of one key
-across shards once: the counts must agree, multiplicities sum, and the
-representative with the least vertex tuple wins, so the merged store does
-not depend on how the keys were spread over shards or in what order the
-shards are listed.
+A shard line (:class:`ShardLine`) is what one task saw of a class: the key,
+the least and the greatest member (vertex tuple order) and the multiplicity.
+No MMS is computed before the merge.  The merge combines the lines of one
+key across shards once -- least of the leasts, greatest of the greatests,
+multiplicities summed -- so the merged store does not depend on how the
+keys were spread over shards or in what order the shards are listed.  Then
+it has the three counts that are invariants of the class (#MMS, #conv,
+#floor) computed once, from the least member, and writes one record per
+class with that member as its representative.  Every AUDIT_STRIDE-th record
+is audited: its greatest member is computed too and must give the same
+counts, a check of the invariance the store relies on.
+
+Simplicial-set statistics are recovered by multiplicity weighting instead of
+storing every simplex.  The classification and h-ratio of a record are
+derived from its counts: they are written to each line for readers, and a
+record whose stored values disagree with its counts is rejected as
+malformed.
 """
 from __future__ import annotations
 
@@ -28,17 +33,17 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .engine import Classification, HRatio, classify, compute_mms, h_ratio
-from .geometry import SimplicialSet, parse_point
+from .geometry import SimplicialSet
 
 HISTOGRAM_BINS = 20
-AUDIT_STRIDE = 100  # every 100th merged record is recomputed from scratch
+AUDIT_STRIDE = 100  # every 100th merged record is recomputed from another member
 
 
 class StoreFormatError(ValueError):
@@ -46,7 +51,8 @@ class StoreFormatError(ValueError):
 
 
 class StoreAuditError(AssertionError):
-    """A stored record disagrees with recomputation from its representative."""
+    """A record's counts disagree with a recomputation from another member
+    of its class."""
 
 
 @contextmanager
@@ -132,52 +138,72 @@ class MmsRecord:
         return rec
 
 
+class ShardLine(NamedTuple):
+    """One class as one task saw it: its key, its least and greatest members
+    (serialized simplices, in vertex tuple order) and how many simplices of
+    the class the task met.  A shard stores it as a JSON array."""
+
+    key: str
+    least: str
+    greatest: str
+    multiplicity: int
+
+    @classmethod
+    def from_json(cls, text: str) -> "ShardLine":
+        """Parse one shard line; ValueError unless it is an array of three
+        strings and an integer."""
+        line = json.loads(text)
+        if not isinstance(line, list) or len(line) != 4 or type(line[3]) is not int:
+            raise ValueError("a shard line must be [key, least, greatest, multiplicity]")
+        if not all(isinstance(field, str) for field in line[:3]):
+            raise ValueError("key, least and greatest must be strings")
+        return cls(*line)
+
+
 class Shard:
-    """One task's records, at most one per key, written sorted by key."""
+    """One task's shard lines, at most one per key, written sorted by key."""
 
     def __init__(self) -> None:
-        self._records: dict[str, MmsRecord] = {}
+        self._lines: dict[str, ShardLine] = {}
 
-    def put(self, record: MmsRecord) -> None:
-        """Add a record; ValueError if the shard already holds its key."""
-        if record.key in self._records:
-            raise ValueError(f"shard already holds a record for key {record.key}")
-        self._records[record.key] = record
+    def put(self, line: ShardLine) -> None:
+        """Add a line; ValueError if the shard already holds its key."""
+        if line.key in self._lines:
+            raise ValueError(f"shard already holds a line for key {line.key}")
+        self._lines[line.key] = line
 
     def write(self, path: str) -> None:
         with atomic_open(path) as fh:
-            for key in sorted(self._records):
-                fh.write(self._records[key].to_json())
+            for key in sorted(self._lines):
+                fh.write(json.dumps(self._lines[key], separators=(",", ":")))
                 fh.write("\n")
 
 
-def _combine(records: list[MmsRecord]) -> MmsRecord:
-    """The one record of a key from its records across shards: the three
-    counts must agree (StoreAuditError naming the key and the field),
-    multiplicities sum, and the representative with the least vertex tuple
-    wins, the order shards pick representatives in."""
-    first, rest = records[0], records[1:]
-    if not rest:
-        return first
-    for rec in rest:
-        for field in ("mms_size", "conv_count", "floor_count"):
-            if getattr(rec, field) != getattr(first, field):
-                raise StoreAuditError(
-                    f"records for key {first.key} disagree on {field}: "
-                    f"{getattr(first, field)} vs {getattr(rec, field)}"
-                )
-    least = min(
-        records, key=lambda rec: tuple(map(parse_point, rec.representative.split(";")))
-    )
-    return replace(
-        first,
-        representative=least.representative,
-        simplex_multiplicity=sum(rec.simplex_multiplicity for rec in records),
+def _vertex_order(member: str) -> tuple[int, ...]:
+    """Sort key of a serialized simplex in vertex tuple order: its
+    coordinates as one flat tuple, which orders simplices of one shape (the
+    members of one key) as their vertex tuples do, at a quarter of the cost
+    of parsing the points."""
+    return tuple(map(int, member.replace(";", ",").split(",")))
+
+
+def _combine(lines: list[ShardLine]) -> ShardLine:
+    """The one line of a key from its lines across shards: the least of the
+    least members, the greatest of the greatest members (vertex tuple
+    order, the order tasks keep them in) and the summed multiplicity."""
+    if len(lines) == 1:
+        return lines[0]
+    return ShardLine(
+        key=lines[0].key,
+        least=min((line.least for line in lines), key=_vertex_order),
+        greatest=max((line.greatest for line in lines), key=_vertex_order),
+        multiplicity=sum(line.multiplicity for line in lines),
     )
 
 
-def _read_records(path: str) -> Iterator[MmsRecord]:
-    """The records of a shard or store in file order, skipping blank lines.
+def _read_lines(path: str, parse: Callable[[str], Any]) -> Iterator[Any]:
+    """The lines of a shard (``ShardLine.from_json``) or store
+    (``MmsRecord.from_json``) in file order, skipping blank lines.
     StoreFormatError naming path and line when a line is malformed or its
     key is not greater than the key before it."""
     last_key: str | None = None
@@ -187,7 +213,7 @@ def _read_records(path: str) -> Iterator[MmsRecord]:
             if not line:
                 continue
             try:
-                rec = MmsRecord.from_json(line)
+                rec = parse(line)
             except (ValueError, KeyError) as exc:
                 raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
             if last_key is not None and rec.key <= last_key:
@@ -196,35 +222,56 @@ def _read_records(path: str) -> Iterator[MmsRecord]:
             yield rec
 
 
-def merge(shard_paths: Iterable[str], out_path: str) -> "Store":
+Counts = tuple[int, int, int]
+
+
+def merge(
+    shard_paths: Iterable[str],
+    out_path: str,
+    counts_of: Callable[[Iterable[ShardLine]], Iterable[tuple[ShardLine, Counts]]],
+) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
-    ``.idx`` sidecar of key offsets.  The records of each key are combined
+    ``.idx`` sidecar of key offsets.  The lines of each key are combined
     once (see ``_combine``), so shard order cannot affect the output.
-    Every AUDIT_STRIDE-th record is recomputed from its representative.
+
+    ``counts_of`` maps the merged classes, in key order, to (class, counts)
+    pairs in the same order, the counts (#MMS, #conv, #floor) computed from
+    the class's least member: a serial ``map`` or a pool's ordered
+    ``imap``.  So each class of the run is computed once, here, whatever
+    the number of shards it spans.  Every AUDIT_STRIDE-th record is
+    audited from its class's greatest member.
     """
     by_key = attrgetter("key")
-    merged = heapq.merge(*(_read_records(p) for p in sorted(shard_paths)), key=by_key)
+    lines = heapq.merge(
+        *(_read_lines(p, ShardLine.from_json) for p in sorted(shard_paths)), key=by_key
+    )
+    classes = (_combine(list(group)) for _, group in itertools.groupby(lines, key=by_key))
     offset = 0
     with atomic_open(out_path) as out, atomic_open(out_path + ".idx") as idx:
-        for count, (key, group) in enumerate(itertools.groupby(merged, key=by_key)):
-            rec = _combine(list(group))
+        for count, (line, counts) in enumerate(counts_of(classes)):
+            rec = MmsRecord(line.key, line.least, *counts, line.multiplicity)
             if count % AUDIT_STRIDE == 0:
-                _audit_record(rec)
-            line = rec.to_json() + "\n"
-            idx.write(f"{key}\t{offset}\n")
-            out.write(line)
-            offset += len(line.encode("utf-8"))
+                _audit_record(rec, line.greatest)
+            text = rec.to_json() + "\n"
+            idx.write(f"{rec.key}\t{offset}\n")
+            out.write(text)
+            offset += len(text.encode("utf-8"))
     return Store.open(out_path)
 
 
-def _audit_record(rec: MmsRecord) -> None:
-    result = compute_mms(SimplicialSet.parse(rec.representative))
+def _audit_record(rec: MmsRecord, member: str) -> None:
+    """StoreAuditError naming the key unless ``member``, another simplex of
+    the record's class, recomputes to the record's counts.  Passed the
+    class's greatest member, which differs from the representative whenever
+    the multiplicity is 2 or more, this tests the invariance of the counts
+    over the class."""
+    result = compute_mms(SimplicialSet.parse(member))
     counts = (result.mms_size, result.conv_count, result.floor_count)
-    if counts != (rec.mms_size, rec.conv_count, rec.floor_count):
+    stored = (rec.mms_size, rec.conv_count, rec.floor_count)
+    if counts != stored:
         raise StoreAuditError(
-            f"audit failed for key {rec.key}: representative {rec.representative} "
-            f"recomputes to size={result.mms_size} conv={result.conv_count} "
-            f"floor={result.floor_count}"
+            f"audit failed for key {rec.key}: member {member} recomputes to "
+            f"(#MMS, #conv, #floor) = {counts}, the record holds {stored}"
         )
 
 
@@ -249,7 +296,7 @@ def _check_index_end(path: str, idx_path: str, last: int | None) -> None:
 class Store:
     """A merged JSONL store: one record per key, keys strictly increasing,
     with a ``.idx`` sidecar of key offsets.  Records are read by streaming
-    the file (see :func:`_read_records`), so a repeated or out-of-order key
+    the file (see :func:`_read_lines`), so a repeated or out-of-order key
     is refused with StoreFormatError naming path and line."""
 
     def __init__(self, path: str, size: int):
@@ -266,7 +313,7 @@ class Store:
         count and the last offset are kept."""
         idx_path = path + ".idx"
         if not os.path.exists(idx_path):
-            return cls(path, sum(1 for _ in _read_records(path)))
+            return cls(path, sum(1 for _ in _read_lines(path, MmsRecord.from_json)))
         size, last = 0, None
         with open(idx_path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -287,7 +334,7 @@ class Store:
         return self._size
 
     def __iter__(self) -> Iterator[MmsRecord]:
-        return _read_records(self.path)
+        return _read_lines(self.path, MmsRecord.from_json)
 
 
 @dataclass(frozen=True)

@@ -335,14 +335,21 @@ def test_pipeline_replay_rejects_bad_manifest_fields(cli_run_dir, capsys, tmp_pa
     assert "missing fields ['seed']" in err
 
 
+MISSING = object()  # a manifest field left out
+
+
 def bad_manifest_runs(cli_run_dir, tmp_path, field, value):
     """A copy of the run's store beside a manifest whose ``field`` (top-level
-    or ``parameters.<name>``) is ``value``; the (export, replay) command
-    lines that read it."""
+    or ``parameters.<name>``) is ``value``, or left out when ``value`` is
+    MISSING; the (export, replay) command lines that read it."""
     with open(os.path.join(cli_run_dir, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
     section, _, name = field.rpartition(".")
-    (manifest[section] if section else manifest)[name] = value
+    owner = manifest[section] if section else manifest
+    if value is MISSING:
+        del owner[name]
+    else:
+        owner[name] = value
     (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     for name in ("merged.jsonl", "merged.jsonl.idx"):
         (tmp_path / name).write_bytes(Path(cli_run_dir, name).read_bytes())
@@ -362,6 +369,11 @@ def bad_manifest_runs(cli_run_dir, tmp_path, field, value):
         ("parameters.count", "abc", "parameters.count must be an integer or null"),
         ("seed", "abc", "seed must be an integer or null"),
         ("worker_count", 1.5, "worker_count must be an integer"),
+        ("parameters.mode", 3, 'parameters.mode must be "full" or "sample"'),
+        pytest.param(
+            "parameters.mode", MISSING, 'parameters.mode must be "full" or "sample"',
+            id="parameters.mode-missing",
+        ),
     ],
 )
 def test_bad_manifest_field_types_exit_invalid(cli_run_dir, tmp_path, field, value, message):

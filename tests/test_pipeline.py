@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from mms import __version__, pipeline
+from mms import __version__, pipeline, store
 from mms.canon import canonical_key
 from mms.engine import compute_mms
 from mms.enumeration import enumerate_simplices
 from mms.geometry import SimplicialSet
 from mms.pipeline import (
+    SAMPLE_BLOCK,
     RunManifest,
     check_conjecture,
     replay,
     run_pipeline,
 )
+from mms.store import AUDIT_STRIDE
 
 
 def read_bytes(path):
@@ -113,6 +115,25 @@ def test_worker_count_does_not_change_outputs(full_run, tmp_path):
         assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(base, name))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_class_is_computed_once(monkeypatch, tmp_path, workers):
+    # every compute_mms call, in this process or a pool child, appends a
+    # line; at 2x16 many classes span several partitions
+    log = tmp_path / "calls.log"
+
+    def logged(delta):
+        with open(log, "a") as fh:
+            fh.write(f"{delta}\n")
+        return compute_mms(delta)
+
+    monkeypatch.setattr(pipeline, "compute_mms", logged)
+    monkeypatch.setattr(store, "compute_mms", logged)
+    _, lat = run_pipeline(2, 16, "full", workers, str(tmp_path / "run"))
+    audits = -(-lat.total_count // AUDIT_STRIDE)
+    assert lat.total_count > AUDIT_STRIDE
+    assert len(log.read_text().splitlines()) == lat.total_count + audits
+
+
 def test_replay_reproduces_bytes(full_run, tmp_path):
     base, _, _ = full_run
     out = str(tmp_path / "replayed")
@@ -177,6 +198,15 @@ def test_sample_run_splits_into_blocks(tmp_path):
     shards = sorted(os.listdir(os.path.join(out, "shards")))
     assert shards == ["shard-00000.jsonl", "shard-00001.jsonl"]
     assert sim.total_count == 2100
+
+
+def test_pooled_sample_run_matches_serial(tmp_path):
+    count = 2 * SAMPLE_BLOCK + 100  # three blocks
+    for workers in (1, 2):
+        run_pipeline(3, 8, "sample", workers, str(tmp_path / f"w{workers}"), seed=5, count=count)
+    assert len(os.listdir(tmp_path / "w2" / "shards")) == 3
+    for name in ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
+        assert read_bytes(tmp_path / "w2" / name) == read_bytes(tmp_path / "w1" / name)
 
 
 def test_conjecture_check_small_degree():

@@ -1,28 +1,30 @@
 """Store layer: shards, deterministic merge, the streaming reader, stats, export."""
 
-import dataclasses
 import itertools
 import json
 import math
 import os
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from mms.canon import canonical_key
 from mms.engine import Classification, compute_mms
 from mms.geometry import SimplicialSet
-from mms.pipeline import run_pipeline
+from mms.pipeline import _class_task, run_pipeline
 from mms.store import (
     HISTOGRAM_BINS,
     MmsRecord,
     Shard,
+    ShardLine,
     StatsScope,
     StatsSummary,
     Store,
     StoreAuditError,
     StoreFormatError,
-    _read_records,
+    _combine,
+    _read_lines,
     atomic_open,
     export,
     merge,
@@ -48,13 +50,31 @@ def record_for(delta, multiplicity=1):
     )
 
 
+def line_for(delta, multiplicity=1, greatest=None):
+    """The shard line of a task that met ``delta`` (and ``greatest``)."""
+    return ShardLine(
+        key=canonical_key(delta).key_text,
+        least=str(delta),
+        greatest=str(greatest or delta),
+        multiplicity=multiplicity,
+    )
+
+
+# phase 2 in this process: the counts of each merged class, in key order
+serial_counts = partial(map, _class_task)
+
+
+def read_shard(path):
+    return list(_read_lines(path, ShardLine.from_json))
+
+
 def write_shards(tmp_path, *shards):
-    """Write each list of records as one shard; the shard paths."""
+    """Write each list of shard lines as one shard; the shard paths."""
     paths = []
-    for i, records in enumerate(shards):
+    for i, lines in enumerate(shards):
         sh = Shard()
-        for rec in records:
-            sh.put(rec)
+        for line in lines:
+            sh.put(line)
         paths.append(str(tmp_path / f"shard-{i}.jsonl"))
         sh.write(paths[-1])
     return paths
@@ -64,8 +84,8 @@ def golden_shard_paths(tmp_path):
     # MOTZKIN and TWIN share a key, so they go to different shards
     return write_shards(
         tmp_path,
-        [record_for(MOTZKIN, 2), record_for(HURWITZ, 2), record_for(DIM4, 1)],
-        [record_for(TWIN, 1)],
+        [line_for(MOTZKIN, 2), line_for(HURWITZ, 2), line_for(DIM4, 1)],
+        [line_for(TWIN, 1)],
     )
 
 
@@ -96,10 +116,18 @@ def test_record_json_rejects_derived_fields_that_disagree_with_counts(field, val
         MmsRecord.from_json(json.dumps(payload))
 
 
+def test_shard_line_format(tmp_path):
+    # key, least member, greatest member, multiplicity
+    (path,) = write_shards(tmp_path, [line_for(TWIN, 3, greatest=MOTZKIN)])
+    with open(path) as fh:
+        assert fh.read() == '["2x2w1:2,4;0,6","0,0;2,0;4,6","0,0;2,4;4,2",3]\n'
+    assert read_shard(path) == [line_for(TWIN, 3, greatest=MOTZKIN)]
+
+
 def test_shard_combines_same_key(tmp_path):
-    # a shard holds one record per key, so the combine happens in the merge
-    paths = write_shards(tmp_path, [record_for(MOTZKIN, 2)], [record_for(TWIN, 3)])
-    (rec,) = merge(paths, str(tmp_path / "m.jsonl"))
+    # a shard holds one line per key, so the combine happens in the merge
+    paths = write_shards(tmp_path, [line_for(MOTZKIN, 2)], [line_for(TWIN, 3)])
+    (rec,) = merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
     assert rec.simplex_multiplicity == 5
     # the tuple-minimal representative survives
     assert rec.representative == "0,0;2,0;4,6"
@@ -108,9 +136,9 @@ def test_shard_combines_same_key(tmp_path):
 
 def test_shard_refuses_a_second_record_for_a_key():
     sh = Shard()
-    sh.put(record_for(MOTZKIN, 2))
-    with pytest.raises(ValueError, match="already holds a record for key 2x2w1:2,4;0,6"):
-        sh.put(record_for(TWIN, 3))
+    sh.put(line_for(MOTZKIN, 2))
+    with pytest.raises(ValueError, match="already holds a line for key 2x2w1:2,4;0,6"):
+        sh.put(line_for(TWIN, 3))
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["wide-first", "tall-first"])
@@ -119,32 +147,45 @@ def test_merge_keeps_tuple_minimal_representative(tmp_path, order):
     wide = SimplicialSet.parse("0,0;0,10;2,0")
     tall = SimplicialSet.parse("0,0;0,2;10,0")
     assert canonical_key(tall) == canonical_key(wide)
-    records = [record_for(wide), record_for(tall)]
-    paths = write_shards(tmp_path, *([records[i]] for i in order))
-    (rec,) = merge(paths, str(tmp_path / "m.jsonl"))
+    lines = [line_for(wide), line_for(tall)]
+    paths = write_shards(tmp_path, *([lines[i]] for i in order))
+    (rec,) = merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
     assert rec.representative == "0,0;0,2;10,0"
     assert rec.simplex_multiplicity == 2
 
 
-@pytest.mark.parametrize("field", ["mms_size", "conv_count", "floor_count"])
-def test_merge_rejects_conflicting_invariants(tmp_path, field):
-    twin = record_for(TWIN)
-    bad = dataclasses.replace(twin, **{field: getattr(twin, field) + 1})
-    paths = write_shards(tmp_path, [record_for(MOTZKIN)], [record_for(HURWITZ)], [bad])
-    with pytest.raises(StoreAuditError, match=f"key 2x2w1:2,4;0,6 disagree on {field}"):
-        merge(paths, str(tmp_path / "m.jsonl"))
+def test_combine_keeps_least_and_greatest_members():
+    lines = [line_for(TWIN, 3, greatest=MOTZKIN), line_for(MOTZKIN, 2)]
+    assert _combine(lines) == line_for(TWIN, 5, greatest=MOTZKIN)
+    # the text order would keep "0,0;0,2;10,0" as the greatest; (0, 10) > (0, 2)
+    wide = SimplicialSet.parse("0,0;0,10;2,0")
+    tall = SimplicialSet.parse("0,0;0,2;10,0")
+    assert _combine([line_for(tall), line_for(wide)]).greatest == str(wide)
+
+
+def test_merge_audits_each_class_from_its_greatest_member(tmp_path, monkeypatch):
+    # phase 2 computes the least member, TWIN; the audit computes MOTZKIN
+    audited = []
+    monkeypatch.setattr(
+        "mms.store.compute_mms", lambda delta: audited.append(str(delta)) or compute_mms(delta)
+    )
+    paths = write_shards(tmp_path, [line_for(MOTZKIN, 2)], [line_for(TWIN, 3)])
+    (rec,) = merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
+    assert rec.representative == str(TWIN)
+    assert audited == [str(MOTZKIN)]
 
 
 def test_combine_requires_equal_keys(tmp_path):
     # distinct keys stay separate, in the shard and through the merge
-    (path,) = write_shards(tmp_path, [record_for(MOTZKIN), record_for(HURWITZ)])
-    assert list(_read_records(path)) == [record_for(MOTZKIN), record_for(HURWITZ)]
-    assert list(merge([path], str(tmp_path / "m.jsonl"))) == list(_read_records(path))
+    (path,) = write_shards(tmp_path, [line_for(MOTZKIN), line_for(HURWITZ)])
+    assert read_shard(path) == [line_for(MOTZKIN), line_for(HURWITZ)]
+    merged = merge([path], str(tmp_path / "m.jsonl"), serial_counts)
+    assert list(merged) == [record_for(MOTZKIN), record_for(HURWITZ)]
 
 
 def test_shard_writes_sorted_jsonl(tmp_path):
     path = golden_shard_paths(tmp_path)[0]
-    keys = [rec.key for rec in _read_records(path)]
+    keys = [line.key for line in read_shard(path)]
     assert keys == sorted(keys)
     assert keys == [
         "2x2w1:2,4;0,6",
@@ -158,37 +199,41 @@ def test_iter_shard_rejects_out_of_order(tmp_path):
     path = str(tmp_path / "bad.jsonl")
     for first, second in [(HURWITZ, MOTZKIN), (MOTZKIN, MOTZKIN)]:
         with open(path, "w") as fh:
-            fh.write(record_for(first).to_json() + "\n" + record_for(second).to_json() + "\n")
+            fh.write(json.dumps(line_for(first)) + "\n" + json.dumps(line_for(second)) + "\n")
         with pytest.raises(StoreFormatError, match=f"^{path}:2: keys out of order$"):
-            list(_read_records(path))
+            read_shard(path)
 
 
 def test_iter_shard_rejects_garbage_line(tmp_path):
     path = str(tmp_path / "bad.jsonl")
-    with open(path, "w") as fh:
-        fh.write("not json\n")
-    with pytest.raises(StoreFormatError, match="bad record"):
-        list(_read_records(path))
+    garbage_lines = [
+        "not json",
+        '{"key":"k","least":"0,0;2,0","greatest":"0,0;2,0","multiplicity":2}',
+        '["k","0,0;2,0","0,0;2,0"]',
+        '["k","0,0;2,0","0,0;2,0","2"]',
+        '["k",["0,0","2,0"],"0,0;2,0",2]',
+    ]
+    for garbage in garbage_lines:
+        with open(path, "w") as fh:
+            fh.write(garbage + "\n")
+        with pytest.raises(StoreFormatError, match=f"^{path}:1: bad record"):
+            read_shard(path)
 
 
 def test_iter_shard_skips_blank_lines(tmp_path):
     path = str(tmp_path / "gaps.jsonl")
     with open(path, "w") as fh:
-        fh.write("\n" + record_for(MOTZKIN).to_json() + "\n\n")
-    assert list(_read_records(path)) == [record_for(MOTZKIN)]
+        fh.write("\n" + json.dumps(line_for(MOTZKIN)) + "\n\n")
+    assert read_shard(path) == [line_for(MOTZKIN)]
 
 
 def test_merge_combines_across_shards(tmp_path):
-    a = Shard()
-    a.put(record_for(MOTZKIN, 2))
-    a.put(record_for(HURWITZ, 1))
-    b = Shard()
-    b.put(record_for(TWIN, 3))
-    b.put(record_for(DIM4, 1))
-    pa, pb = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    a.write(pa)
-    b.write(pb)
-    store = merge([pa, pb], str(tmp_path / "m.jsonl"))
+    paths = write_shards(
+        tmp_path,
+        [line_for(MOTZKIN, 2), line_for(HURWITZ, 1)],
+        [line_for(TWIN, 3), line_for(DIM4, 1)],
+    )
+    store = merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
     assert len(store) == 3
     rec = next(rec for rec in store if rec.key == "2x2w1:2,4;0,6")
     assert rec.simplex_multiplicity == 5
@@ -196,49 +241,52 @@ def test_merge_combines_across_shards(tmp_path):
 
 
 def test_merge_output_independent_of_shard_order(tmp_path):
-    a = Shard()
-    a.put(record_for(MOTZKIN, 1))
-    a.put(record_for(DIM4, 4))
-    b = Shard()
-    b.put(record_for(HURWITZ, 2))
-    b.put(record_for(TWIN, 1))
-    pa, pb = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    a.write(pa)
-    b.write(pb)
-    merge([pa, pb], str(tmp_path / "m1.jsonl"))
-    merge([pb, pa], str(tmp_path / "m2.jsonl"))
+    pa, pb = write_shards(
+        tmp_path,
+        [line_for(MOTZKIN, 1), line_for(DIM4, 4)],
+        [line_for(HURWITZ, 2), line_for(TWIN, 1)],
+    )
+    merge([pa, pb], str(tmp_path / "m1.jsonl"), serial_counts)
+    merge([pb, pa], str(tmp_path / "m2.jsonl"), serial_counts)
     with open(tmp_path / "m1.jsonl", "rb") as f1, open(tmp_path / "m2.jsonl", "rb") as f2:
         assert f1.read() == f2.read()
     with open(tmp_path / "m1.jsonl.idx", "rb") as f1, open(tmp_path / "m2.jsonl.idx", "rb") as f2:
         assert f1.read() == f2.read()
 
 
+# the greatest member a corrupt shard line claims for the Motzkin class: a
+# simplex of another class, whose counts differ
+STRANGER = SimplicialSet.parse("0,0;4,0;4,4")
+
+
 def test_merge_audits_first_record(tmp_path):
-    # first merged record sits at audit stride 0, so tampering it is caught
-    path = str(tmp_path / "t.jsonl")
-    tampered = dataclasses.replace(record_for(MOTZKIN), mms_size=7)
-    with open(path, "w") as fh:
-        fh.write(tampered.to_json() + "\n")
-        fh.write(record_for(HURWITZ).to_json() + "\n")
-    with pytest.raises(StoreAuditError, match="audit failed"):
-        merge([path], str(tmp_path / "m.jsonl"))
+    # the first merged class sits at audit stride 0: its greatest member,
+    # from the second shard, is not in its class, and the audit catches it
+    paths = write_shards(
+        tmp_path,
+        [line_for(MOTZKIN, 2), line_for(HURWITZ)],
+        [line_for(TWIN, 1, greatest=STRANGER)],
+    )
+    with pytest.raises(
+        StoreAuditError, match=f"^audit failed for key 2x2w1:2,4;0,6: member {STRANGER} "
+    ):
+        merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
+    assert not os.path.exists(tmp_path / "m.jsonl")
 
 
 def test_merge_audit_stride_skips_later_records(tmp_path):
-    # the 2nd and 3rd records are off-stride; a tampered tail slips through
-    path = str(tmp_path / "t.jsonl")
-    tampered = dataclasses.replace(record_for(DIM4), mms_size=19)
-    with open(path, "w") as fh:
-        fh.write(record_for(MOTZKIN).to_json() + "\n")
-        fh.write(record_for(HURWITZ).to_json() + "\n")
-        fh.write(tampered.to_json() + "\n")
-    *_, rec = merge([path], str(tmp_path / "m.jsonl"))
-    assert rec.key == tampered.key and rec.mms_size == 19
+    # the 2nd and 3rd classes are off-stride; a stranger there slips through
+    (path,) = write_shards(
+        tmp_path,
+        [line_for(MOTZKIN), line_for(HURWITZ), line_for(DIM4, greatest=STRANGER)],
+    )
+    *_, rec = merge([path], str(tmp_path / "m.jsonl"), serial_counts)
+    assert rec == record_for(DIM4)
 
 
 def test_store_iteration_order(tmp_path):
     out = str(tmp_path / "m.jsonl")
-    store = merge(golden_shard_paths(tmp_path), out)
+    store = merge(golden_shard_paths(tmp_path), out, serial_counts)
     assert len(store) == 3
     records = list(store)
     keys = [rec.key for rec in records]
@@ -254,7 +302,7 @@ def test_store_iteration_order(tmp_path):
 def test_store_open_rebuilds_missing_index(tmp_path):
     # without a sidecar, open parses every record and iteration is unchanged
     out = str(tmp_path / "m.jsonl")
-    merge(golden_shard_paths(tmp_path), out)
+    merge(golden_shard_paths(tmp_path), out, serial_counts)
     with_idx = Store.open(out)
     os.remove(out + ".idx")
     rebuilt = Store.open(out)
@@ -274,7 +322,7 @@ def test_store_open_rebuilds_missing_index(tmp_path):
 )
 def test_store_open_refuses_index_that_does_not_end_with_its_file(tmp_path, edit):
     out = str(tmp_path / "m.jsonl")
-    merge(golden_shard_paths(tmp_path), out)
+    merge(golden_shard_paths(tmp_path), out, serial_counts)
     with open(out) as fh:
         text = fh.read()
     with open(out, "w") as fh:
@@ -285,7 +333,7 @@ def test_store_open_refuses_index_that_does_not_end_with_its_file(tmp_path, edit
 
 def test_store_open_refuses_empty_index_of_nonempty_file(tmp_path):
     out = str(tmp_path / "m.jsonl")
-    merge(golden_shard_paths(tmp_path), out)
+    merge(golden_shard_paths(tmp_path), out, serial_counts)
     open(out + ".idx", "w").close()
     with pytest.raises(StoreFormatError, match="does not end where its index"):
         Store.open(out)
@@ -316,7 +364,7 @@ def test_atomic_open_writes_a_device_in_place():
 
 def test_store_iteration_rejects_inconsistent_record(tmp_path):
     out = str(tmp_path / "m.jsonl")
-    merge(golden_shard_paths(tmp_path), out)
+    merge(golden_shard_paths(tmp_path), out, serial_counts)
     with open(out) as fh:
         text = fh.read()
     # the Motzkin class: counts 6, 10, 6 say M; the same-length edit says H
@@ -329,7 +377,7 @@ def test_store_iteration_rejects_inconsistent_record(tmp_path):
 
 @pytest.fixture()
 def golden_store(tmp_path):
-    return merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"))
+    return merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"), serial_counts)
 
 
 def test_stats_simplicial_scope(golden_store):
