@@ -16,7 +16,10 @@ takes hours on one core and is expected to end with exactly
 At each degree of CHECKED the script compares its totals with the recorded
 ones (exit 1 on mismatch, exit 2 on a dichotomy counterexample).  The rows:
 
-- 30: the default run, measured with this script; CI runs it.
+- 30: the default run, measured with this script.
+- 50: a ``--deg 50 --workers 2`` run of this script; CI runs it, so it
+  covers larger hulls, removals of several rounds and the merge's
+  progress line.
 - 100: a cold ``--deg 100 --workers 2`` run of the two-phase pipeline,
   matching the figures recorded earlier in ROADMAP.md.
 - 150: the full-scale figures above, recorded from a full run.
@@ -33,6 +36,7 @@ from mms.pipeline import check_conjecture, default_workers
 # degree -> (simplicial sets, H, M, lattice classes); INTERMEDIATE is always 0
 CHECKED = {
     30: (8768, 8453, 315, 1851),
+    50: (60217, 59019, 1198, 12497),
     100: (873200, 866934, 6266, 180814),
     150: (4266834, 4250533, 16301, 886297),
 }

@@ -15,15 +15,16 @@ The removal form, used at scale, is an array kernel on the even points only:
   code of ``a + b`` with no carries and code order is lex order.  Codes are
   int64 while the radix product is below 2^62 and Python ints (numpy object
   arrays, same operations) beyond, as for a wide hull in high dimension.
-- Removal runs in rounds.  Each round deletes every non-vertex point c for
-  which no alive a other than c has its partner 2c - a alive; the rounds
-  stop when one deletes nothing.
-- The closure is the sorted set of the doubled codes and the pair sums of
-  the survivors, decoded back to points (the midpoint of 2a and 2b is
+- Removal runs in rounds.  Each round builds the closure of the alive
+  points: the doubled codes of the vertices and the pair sums a + b of
+  distinct alive a, b.  A non-vertex c stays alive iff 2c is in that
+  closure, one ``searchsorted`` for all of them; the rounds stop when one
+  deletes nothing, and that round's closure is the result.
+- The closure is decoded back to points (the midpoint of 2a and 2b is
   a + b), which come out lex-sorted.
 
-The partner test and the pair sums run in blocks of at most ``_BLOCK``
-entries, so beyond the k codes and the closure itself memory stays bounded.
+The pair sums run in row blocks of at most ``_BLOCK`` entries, so beyond
+the k codes and the closure itself memory stays bounded.
 
 A class is described by three counts: #MMS, #conv (all lattice points of
 the hull) and #floor (the vertices and their pairwise midpoints).  The
@@ -53,7 +54,7 @@ from .geometry import (
     midpoint_set,
 )
 
-# entries per transient array of the partner test and the pair sums
+# entries per transient block of pair sums
 _BLOCK = 1 << 18
 
 
@@ -112,11 +113,14 @@ def mms_removal(delta: SimplicialSet) -> set[Point]:
     the fixed-point iteration give: the maximal mediated set's even part is
     the unique greatest set fixed by the round, and a point with no witness
     pair in L has none in any subset of L, so no round deletes a point of it.
+    Each round's test reads the midpoint closure of the alive points, so
+    the last round's closure is the result.
     The kernel reads the scan of the half-scaled simplex, whose candidate
     box or ball in Z^n is about 2^n times smaller than the full hull's: a
     caller that needs no hull count, such as an SOS decision, pays only for
     that scan (:func:`compute_mms` reads the full scan instead).
-    Beyond the result, memory is O(k) for k even points plus blocks of at
+    Memory is O(k) for k even points, one round's closure (midpoints of
+    alive points, so at most the hull's lattice points) and blocks of at
     most ``_BLOCK`` entries.
     """
     half = _half_vertices(delta)
@@ -136,38 +140,28 @@ def _removal_kernel(q: np.ndarray, half: tuple[Point, ...]) -> np.ndarray:
     vertex_codes = (np.array(half, dtype=np.int64) - lo).astype(dtype) @ weights
     fixed[np.searchsorted(codes, vertex_codes)] = True
     while True:
-        loose = ~fixed
-        found = _witnessed(codes, codes[loose])
-        if found.all():
+        closure = _closure(codes, fixed)
+        # a loose c is never a vertex, so 2c is in the closure iff 2c = a + b
+        # for distinct alive a, b: c's witness test.  A vertex's 2v is in it
+        # by construction.  Vertices stay alive and the lex-greatest point of
+        # a polytope is a vertex, so 2c never passes the closure's last code.
+        doubled = 2 * codes
+        keep = closure[np.searchsorted(closure, doubled)] == doubled
+        if keep.all():
+            # every loose survivor's 2c is a pair sum, so this closure also
+            # holds the doubled codes of all alive points: it is the MMS
             break
-        keep = fixed.copy()
-        keep[loose] = found
         codes, fixed = codes[keep], fixed[keep]
-    closure = _closure(codes)
     points = closure[:, None] // weights % np.array(radix, dtype=dtype) + 2 * lo
     return points.astype(np.int64, copy=False)
 
 
-def _witnessed(codes: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """For each c in ``mids``, whether 2c = a + b for distinct a, b in the
-    sorted ``codes`` (c itself among them), in blocks of ``_BLOCK`` entries."""
-    found = np.empty(len(mids), dtype=bool)
-    step = max(1, _BLOCK // len(codes))
-    top = len(codes) - 1
-    for s in range(0, len(mids), step):
-        c = mids[s : s + step, None]
-        partner = 2 * c - codes
-        hit = codes[np.searchsorted(codes, partner).clip(max=top)] == partner
-        # a = c always hits (its partner is c); any other hit is a witness
-        found[s : s + step] = hit.sum(axis=1) > 1
-    return found
-
-
-def _closure(codes: np.ndarray) -> np.ndarray:
-    """Sorted distinct codes of 2c and of a + b over distinct a, b in
-    ``codes``, with the pair sums built in row blocks of ``_BLOCK`` entries."""
+def _closure(codes: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Sorted distinct codes of 2v for v in ``codes[fixed]`` and of a + b
+    over distinct a, b in ``codes``, with the pair sums built in row blocks
+    of ``_BLOCK`` entries."""
     k = len(codes)
-    out = 2 * codes
+    out = 2 * codes[fixed]
     step = max(1, _BLOCK // k)
     for s in range(1, k, step):
         e = min(s + step, k)

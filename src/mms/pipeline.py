@@ -8,9 +8,10 @@ simplex, and groups its simplices by canonical key in
 greatest vertex tuple.  It writes one shard line per key and computes no
 MMS.  Phase 2: :func:`mms.store.merge` combines each key's lines across
 shards once and has the counts of each merged class computed once, from
-its least member, through the pool's ordered ``imap``; every
-``AUDIT_STRIDE``-th class is audited from its greatest member.  One pass
-over the merged store then yields the statistics of both scopes.
+its least member, through the pool's ordered ``imap``, with a progress
+line per ``PROGRESS_CLASSES`` classes; every ``AUDIT_STRIDE``-th class is
+audited from its greatest member.  One pass over the merged store then
+yields the statistics of both scopes.
 
 Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling, and the merge keeps
@@ -32,7 +33,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
@@ -57,6 +58,7 @@ SAMPLE_BLOCK = 2000  # fixed block size; results never depend on worker count
 # classes per pool round trip in phase 2: at one class each, the round trips
 # add about 30% to the CPU time of a 2d=50 survey
 CLASS_CHUNK = 32
+PROGRESS_CLASSES = 10_000  # phase 2 prints a progress line per this many classes
 
 
 @dataclass
@@ -131,6 +133,15 @@ def _class_task(line: ShardLine) -> tuple[ShardLine, Counts]:
     and validation costs about 5% of a 4x16 class's MMS."""
     points = tuple(map(parse_point, line.least.split(";")))
     return line, _invariants_for(SimplicialSet(points))
+
+
+def _with_progress(pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """Phase 2's (class, counts) pairs, passed through with a progress line
+    after every ``PROGRESS_CLASSES``-th class."""
+    for done, pair in enumerate(pairs, start=1):
+        if done % PROGRESS_CLASSES == 0:
+            print(f"[mms] classes: {done}", file=sys.stderr)
+        yield pair
 
 
 def _aggregate_to_shard(members: Iterable[Member], n: int, shard_path: str) -> str:
@@ -263,12 +274,15 @@ def run_pipeline(
                     print(f"[mms] {label}: {done}/{total}", file=sys.stderr)
             manifest.shard_paths = sorted(shard_paths)
             print(f"[mms] merging {len(shard_paths)} shards", file=sys.stderr)
+            class_map = (
+                partial(map, _class_task)
+                if serial
+                else partial(pool.imap, _class_task, chunksize=CLASS_CHUNK)
+            )
             store = merge(
                 manifest.shard_paths,
                 os.path.join(out_dir, "merged.jsonl"),
-                partial(map, _class_task)
-                if serial
-                else partial(pool.imap, _class_task, chunksize=CLASS_CHUNK),
+                lambda classes: _with_progress(class_map(classes)),
             )
         sim, lat = stats(store)
         with atomic_open(os.path.join(out_dir, "stats.csv")) as fh:

@@ -115,22 +115,22 @@ class MmsRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "MmsRecord":
-        """Parse one line; ValueError when it is malformed or its stored
-        classification or h-ratio disagrees with its counts."""
+        """Parse one line; ValueError when it is malformed, ``key`` or
+        ``representative`` is not a string, one of the four counts is not a
+        JSON integer, or its stored classification or h-ratio disagrees with
+        its counts."""
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise ValueError("a record must be a JSON object")
-        try:
-            rec = cls(
-                key=str(payload["key"]),
-                representative=str(payload["representative"]),
-                mms_size=int(payload["mms_size"]),
-                conv_count=int(payload["conv_count"]),
-                floor_count=int(payload["floor_count"]),
-                simplex_multiplicity=int(payload["simplex_multiplicity"]),
-            )
-        except TypeError as exc:  # a count that is not a JSON number
-            raise ValueError(f"bad field type: {exc}") from exc
+        for field in ("key", "representative"):
+            if not isinstance(payload[field], str):
+                raise ValueError(f"bad field type: {field} must be a string")
+        counts = ("mms_size", "conv_count", "floor_count", "simplex_multiplicity")
+        for field in counts:
+            # a JSON true or false is a bool, not an integer
+            if type(payload[field]) is not int:
+                raise ValueError(f"bad field type: {field} must be an integer")
+        rec = cls(payload["key"], payload["representative"], *(payload[f] for f in counts))
         if rec.classification.value != payload["classification"]:
             raise ValueError("classification does not match stored counts")
         if str(rec.h_ratio) != payload["h_ratio"]:

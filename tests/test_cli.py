@@ -197,6 +197,11 @@ GOOD_RECORD = {
         (["stats", "--store"], json.dumps({**GOOD_RECORD, "mms_size": [6]}), "bad field type"),
         (
             ["stats", "--store"],
+            json.dumps({**GOOD_RECORD, "simplex_multiplicity": 2.9}),
+            ":1: bad record: bad field type: simplex_multiplicity must be an integer",
+        ),
+        (
+            ["stats", "--store"],
             json.dumps({**GOOD_RECORD, "classification": "H", "h_ratio": "4/4"}),
             "classification does not match stored counts",
         ),
@@ -208,6 +213,7 @@ GOOD_RECORD = {
         "delta-int",
         "record-list",
         "count-list",
+        "count-float",
         "derived-mismatch",
     ],
 )

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mms import engine
@@ -143,9 +143,13 @@ def test_removal_agrees_with_fixed_point(delta, data):
 
 
 @given(small_simplices(degrees=(4, 6, 8)), st.integers(1, 40), st.booleans())
+# removals that take 5 and 4 rounds, the second ending INTERMEDIATE: each
+# round must test against the closure of the points still alive
+@example(SimplicialSet.parse("0,0;2,4;10,2"), 7, False)
+@example(SimplicialSet.parse("0,0,0;0,6,2;4,0,4;6,2,0"), 40, True)
 def test_removal_in_small_blocks_and_python_int_codes(delta, block, python_ints):
     with pytest.MonkeyPatch.context() as mp:
-        # tiny blocks split the partner test and the pair sums into many pieces
+        # tiny blocks split each round's pair sums into many pieces
         mp.setattr(engine, "_BLOCK", block)
         if python_ints:
             mp.setattr(engine, "_INT64_SAFE", 0)

@@ -134,6 +134,18 @@ def test_each_class_is_computed_once(monkeypatch, tmp_path, workers):
     assert len(log.read_text().splitlines()) == lat.total_count + audits
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_merge_prints_a_progress_line_per_classes(monkeypatch, capsys, tmp_path, workers):
+    monkeypatch.setattr(pipeline, "PROGRESS_CLASSES", 5)
+    _, lat = run_pipeline(2, 8, "full", workers, str(tmp_path / "run"))
+    err = capsys.readouterr().err.splitlines()
+    expected = [f"[mms] classes: {done}" for done in range(5, lat.total_count + 1, 5)]
+    assert lat.total_count % 5 and len(expected) >= 2
+    # the lines follow the merge's own line, one per 5 classes computed
+    assert err[-len(expected) :] == expected
+    assert err[-len(expected) - 1].startswith("[mms] merging ")
+
+
 def test_replay_reproduces_bytes(full_run, tmp_path):
     base, _, _ = full_run
     out = str(tmp_path / "replayed")

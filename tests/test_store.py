@@ -116,6 +116,23 @@ def test_record_json_rejects_derived_fields_that_disagree_with_counts(field, val
         MmsRecord.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        (field, value, "an integer")
+        for field in ("mms_size", "conv_count", "floor_count", "simplex_multiplicity")
+        for value in (2.9, "9", True, None)
+    ]
+    + [(field, value, "a string") for field in ("key", "representative") for value in (5, None)],
+)
+def test_record_json_rejects_fields_of_the_wrong_type(field, value, kind):
+    # no coercion: int(2.9) would read a multiplicity of 2 and int("9") a count
+    payload = json.loads(record_for(MOTZKIN).to_json())
+    payload[field] = value
+    with pytest.raises(ValueError, match=f"bad field type: {field} must be {kind}"):
+        MmsRecord.from_json(json.dumps(payload))
+
+
 def test_shard_line_format(tmp_path):
     # key, least member, greatest member, multiplicity
     (path,) = write_shards(tmp_path, [line_for(TWIN, 3, greatest=MOTZKIN)])
