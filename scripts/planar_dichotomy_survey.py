@@ -31,7 +31,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mms.pipeline import check_conjecture, default_workers
+from mms.pipeline import check_conjecture
 
 # degree -> (simplicial sets, H, M, lattice classes); INTERMEDIATE is always 0
 CHECKED = {
@@ -48,8 +48,7 @@ def main() -> int:
     ap.add_argument("--out", default=None, help="keep run artifacts here")
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
-    workers = args.workers if args.workers is not None else default_workers()
-    report = check_conjecture(args.deg, workers=workers, out_dir=args.out)
+    report = check_conjecture(args.deg, workers=args.workers, out_dir=args.out)
     sim, lat = report.simplicial, report.lattices
     print(
         f"simplicial sets {sim.total_count}  "

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from mms.pipeline import default_workers, run_pipeline
+from mms.pipeline import run_pipeline
 
 # recorded figures: (sim_total, lat_total, sim_mean, lat_mean, decrease)
 REFERENCE = {
@@ -29,7 +29,7 @@ DESK_ROWS = ("2x6", "2x10", "3x10")
 MEAN_TOL = 1e-5
 
 
-def run_row(row: str, out_root: str, workers: int) -> list[str]:
+def run_row(row: str, out_root: str, workers: int | None) -> list[str]:
     n_str, d_str = row.split("x")
     n, two_d = int(n_str), int(d_str)
     out_dir = os.path.join(out_root, f"census-{row}")
@@ -67,11 +67,10 @@ def main() -> int:
     rows = args.rows
     if rows is None:
         rows = list(DESK_ROWS) + (["7x4"] if args.extended else [])
-    workers = args.workers if args.workers is not None else default_workers()
     print(f"{'row':>5}  {'simplices':>12}  {'lattices':>10}")
     bad = 0
     for row in rows:
-        bad += len(run_row(row, args.out, workers))
+        bad += len(run_row(row, args.out, args.workers))
     return 0 if bad == 0 else 1
 
 

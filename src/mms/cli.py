@@ -11,14 +11,14 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from typing import IO, ContextManager, Sequence
+from typing import IO, ContextManager, Iterable, Sequence
 
 from . import __version__
 from .canon import canonical_key, generator_matrix
 from .engine import compute_mms
 from .enumeration import enumerate_simplices
-from .geometry import SimplicialSet, parse_point
-from .pipeline import check_conjecture, default_workers, replay, run_pipeline, run_shape
+from .geometry import SimplicialSet, format_point, parse_point
+from .pipeline import check_conjecture, replay, run_pipeline, run_shape
 from .sampler import SamplerConfig, sample_stream
 from .sos import (
     CircuitSupport,
@@ -30,7 +30,7 @@ from .sos import (
     sonc_simplex_is_sos,
     sos_bound_is_exact,
 )
-from .store import Store, atomic_open, export, stats, stats_json
+from .store import Store, atomic_open, export, json_field, stats, stats_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -112,21 +112,22 @@ def _output(path: str | None) -> ContextManager[IO[str]]:
     return nullcontext(sys.stdout) if path is None else atomic_open(path)
 
 
-def _cmd_enumerate(args) -> int:
-    with _output(args.out) as out:
-        for delta in enumerate_simplices(args.dim, args.deg, args.partition):
+def _write_deltas(path: str | None, deltas: Iterable[SimplicialSet]) -> int:
+    """One ``{"delta": ...}`` line per simplex, to stdout or ``path``."""
+    with _output(path) as out:
+        for delta in deltas:
             out.write(json.dumps({"delta": str(delta)}, separators=(",", ":")))
             out.write("\n")
     return EXIT_OK
+
+
+def _cmd_enumerate(args) -> int:
+    return _write_deltas(args.out, enumerate_simplices(args.dim, args.deg, args.partition))
 
 
 def _cmd_sample(args) -> int:
     cfg = SamplerConfig(n=args.dim, two_d=args.deg, seed=args.seed, count=args.count)
-    with _output(args.out) as out:
-        for delta in sample_stream(cfg):
-            out.write(json.dumps({"delta": str(delta)}, separators=(",", ":")))
-            out.write("\n")
-    return EXIT_OK
+    return _write_deltas(args.out, sample_stream(cfg))
 
 
 def _iter_input_deltas(args):
@@ -144,8 +145,8 @@ def _iter_input_deltas(args):
                 payload = json.loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("a record must be a JSON object")
-                yield SimplicialSet.parse(payload["delta"])
-            except (ValueError, KeyError) as exc:
+                yield SimplicialSet.parse(json_field(payload, "delta"))
+            except ValueError as exc:
                 raise ValueError(f"{args.infile}:{lineno}: bad input line: {exc}") from exc
 
 
@@ -204,9 +205,9 @@ def _cmd_check_sos(args) -> int:
             try:
                 if not isinstance(entry, dict):
                     raise ValueError("a term must be a JSON object")
-                beta = parse_point(entry["beta"])
+                beta = parse_point(json_field(entry, "beta"))
                 terms.append(InnerTerm.of(beta, Sign(entry.get("sign", "NEG"))))
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{args.terms}: entry {i}: bad term: {exc}") from exc
     from .sos import _memo
 
@@ -229,7 +230,7 @@ def _cmd_check_sos(args) -> int:
         "verdict": verdict,
         "witness": [
             {
-                "beta": ",".join(str(c) for c in t.beta),
+                "beta": format_point(t.beta),
                 "sign": t.coeff_sign.value,
                 "parity": t.parity.value,
                 "in_mms": tuple(t.beta) in mms,
@@ -242,8 +243,7 @@ def _cmd_check_sos(args) -> int:
 
 
 def _cmd_check_conjecture(args) -> int:
-    workers = args.workers if args.workers is not None else default_workers()
-    report = check_conjecture(args.deg, workers=workers, out_dir=args.out)
+    report = check_conjecture(args.deg, workers=args.workers, out_dir=args.out)
     print(json.dumps(report.to_json_dict(), indent=2))
     if not report.passed:
         print(
@@ -265,7 +265,7 @@ def _cmd_pipeline(args) -> int:
             n=args.dim,
             two_d=args.deg,
             mode=args.mode,
-            workers=args.workers if args.workers is not None else default_workers(),
+            workers=args.workers,
             out_dir=args.out,
             seed=args.seed,
             count=args.count,

@@ -3,15 +3,16 @@ compute MMS per lattice class, and summarize.
 
 A run has two phases, in one pool of workers (or none at ``workers=1``).
 Phase 1: each task walks its partition or samples its block, keys each
-simplex, and groups its simplices by canonical key in
-``_aggregate_to_shard``: per key the multiplicity and the least and the
-greatest vertex tuple.  It writes one shard line per key and computes no
-MMS.  Phase 2: :func:`mms.store.merge` combines each key's lines across
-shards once and has the counts of each merged class computed once, from
-its least member, through the pool's ordered ``imap``, with a progress
-line per ``PROGRESS_CLASSES`` classes; every ``AUDIT_STRIDE``-th class is
-audited from its greatest member.  One pass over the merged store then
-yields the statistics of both scopes.
+simplex as a :class:`mms.store.ShardLine`, and groups the lines by
+canonical key in ``_aggregate_to_shard``, which combines each key's lines
+with ``store._combine``: the multiplicity and the least and the greatest
+vertex tuple.  It writes one shard line per key and computes no MMS.
+Phase 2: :func:`mms.store.merge` combines each key's lines across shards
+with the same ``_combine`` and has the counts of each merged class computed
+once, from its least member, through the pool's ordered ``imap``, with a
+progress line per ``PROGRESS_CLASSES`` classes; every ``AUDIT_STRIDE``-th
+class is audited from its greatest member.  One pass over the merged store
+then yields the statistics of both scopes.
 
 Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling, and the merge keeps
@@ -39,7 +40,7 @@ from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
 from .engine import Classification, compute_mms
 from .enumeration import _iter_full_rank_sets, check_shape, vertex_list
-from .geometry import Point, SimplicialSet, parse_point
+from .geometry import Point, SimplicialSet
 from .sampler import SamplerConfig, sample_simplex
 from .store import (
     Counts,
@@ -47,6 +48,7 @@ from .store import (
     ShardLine,
     StatsSummary,
     Store,
+    _combine,
     atomic_open,
     merge,
     stats,
@@ -115,10 +117,6 @@ class RunManifest:
         return cls(**payload)
 
 
-# (key, count, least and greatest nonzero vertices) of simplices a task met
-Member = tuple[str, int, tuple[Point, ...], tuple[Point, ...]]
-
-
 def _invariants_for(delta: SimplicialSet) -> Counts:
     """The three counts (#MMS, #conv, #floor) of ``delta``'s lattice class:
     they are invariants of the class, and a record's classification and
@@ -129,10 +127,10 @@ def _invariants_for(delta: SimplicialSet) -> Counts:
 
 def _class_task(line: ShardLine) -> tuple[ShardLine, Counts]:
     """Phase 2: one merged class with its counts, from its least member.
-    The member is not validated again: phase 1 wrote it from a simplex,
-    and validation costs about 5% of a 4x16 class's MMS."""
-    points = tuple(map(parse_point, line.least.split(";")))
-    return line, _invariants_for(SimplicialSet(points))
+    The member is not validated again: phase 1 took it from a simplex, the
+    shard reader checked its form, and validation costs about 5% of a 4x16
+    class's MMS."""
+    return line, _invariants_for(SimplicialSet(line.least))
 
 
 def _with_progress(pairs: Iterable[tuple]) -> Iterator[tuple]:
@@ -144,20 +142,16 @@ def _with_progress(pairs: Iterable[tuple]) -> Iterator[tuple]:
         yield pair
 
 
-def _aggregate_to_shard(members: Iterable[Member], n: int, shard_path: str) -> str:
-    """Phase 1: group a task's members by key, the only place a task
-    combines them: counts sum, and the least and the greatest vertex tuples
-    are kept.  Writes one line per key to ``shard_path``; no MMS is
-    computed here."""
-    groups: dict[str, tuple] = {}
-    for key, count, least, greatest in members:
-        total, lo, hi = groups.get(key, (0, least, greatest))
-        groups[key] = (total + count, min(lo, least), max(hi, greatest))
-    origin = (0,) * n
+def _aggregate_to_shard(lines: Iterable[ShardLine], shard_path: str) -> str:
+    """Phase 1: group a task's lines by key and combine each group with
+    ``_combine``, the merge's combine.  Writes one line per key to
+    ``shard_path``; no MMS is computed here."""
+    groups: dict[str, list[ShardLine]] = {}
+    for line in lines:
+        groups.setdefault(line.key, []).append(line)
     shard = Shard()
-    for key, (count, *ends) in groups.items():
-        least, greatest = (str(SimplicialSet((origin,) + verts)) for verts in ends)
-        shard.put(ShardLine(key, least, greatest, count))
+    for group in groups.values():
+        shard.put(_combine(group))
     shard.write(shard_path)
     return shard_path
 
@@ -176,20 +170,21 @@ def _enum_task(args: tuple) -> str:
         else:
             ent[0] += 1
             ent[2] = idx
-    members = [
-        (_key_of_hnf(transpose(cols)), count, *(tuple(rows[i] for i in idx) for idx in ends))
-        for cols, (count, *ends) in by_hnf.items()
-    ]
-    return _aggregate_to_shard(members, n, shard_path)
+    origin = ((0,) * n,)  # the lex-least vertex of every simplex walked
+    lines = []
+    for cols, (count, *ends) in by_hnf.items():
+        least, greatest = (origin + tuple(rows[i] for i in idx) for idx in ends)
+        lines.append(ShardLine(_key_of_hnf(transpose(cols)), least, greatest, count))
+    return _aggregate_to_shard(lines, shard_path)
 
 
 def _sample_task(args: tuple) -> str:
     n, two_d, seed, lo, hi, shard_path = args
-    members = []
+    lines = []
     for index in range(lo, hi):
-        verts = sample_simplex(n, two_d, seed, index).points[1:]  # origin is the lex-min point
-        members.append((_key_of_hnf(hnf(tuple(zip(*verts)))), 1, verts, verts))
-    return _aggregate_to_shard(members, n, shard_path)
+        points = sample_simplex(n, two_d, seed, index).points  # origin is the lex-min point
+        lines.append(ShardLine(_key_of_hnf(hnf(tuple(zip(*points[1:])))), points, points, 1))
+    return _aggregate_to_shard(lines, shard_path)
 
 
 def default_workers() -> int:
@@ -209,16 +204,17 @@ def run_pipeline(
     n: int,
     two_d: int,
     mode: str,
-    workers: int,
+    workers: int | None,
     out_dir: str,
     seed: int | None = None,
     count: int | None = None,
 ) -> tuple[StatsSummary, StatsSummary]:
     """Full batch run into ``out_dir``: shards, merged store (merged.jsonl
     plus .idx), stats.csv, stats.json, manifest.json.  Returns the
-    (simplicial-set scope, lattice scope) summaries.  Every parameter is
-    checked, the sample ones as ``mms sample`` checks them, before
-    anything is written: a bad value raises ValueError naming it."""
+    (simplicial-set scope, lattice scope) summaries.  ``workers`` None
+    means :func:`default_workers`.  Every parameter is checked, the sample
+    ones as ``mms sample`` checks them, before anything is written: a bad
+    value raises ValueError naming it."""
     if mode not in ("full", "sample"):
         raise ValueError(f"mode must be 'full' or 'sample', got {mode!r}")
     if mode == "full":
@@ -227,6 +223,8 @@ def run_pipeline(
         raise ValueError("sample mode requires seed and count")
     else:
         SamplerConfig(n=n, two_d=two_d, seed=seed, count=count)
+    if workers is None:
+        workers = default_workers()
     if workers < 1:
         raise ValueError("workers must be at least 1")
     os.makedirs(out_dir, exist_ok=True)
@@ -360,12 +358,13 @@ class ConjectureReport:
 
 
 def check_conjecture(
-    two_d: int, workers: int = 1, out_dir: str | None = None
+    two_d: int, workers: int | None = 1, out_dir: str | None = None
 ) -> ConjectureReport:
     """Exhaustively classify every 2-simplex of maximal degree <= two_d and
     report any INTERMEDIATE class verbatim (vertices plus full MMS).  The
-    dichotomy statement is specific to the plane.  The merged store is
-    read again only when the lattice scope counts INTERMEDIATE classes."""
+    dichotomy statement is specific to the plane.  ``workers`` goes to
+    :func:`run_pipeline`.  The merged store is read again only when the
+    lattice scope counts INTERMEDIATE classes."""
     with (
         nullcontext(out_dir)
         if out_dir is not None

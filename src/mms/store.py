@@ -6,16 +6,18 @@ one reader, :func:`_read_lines`, streams a shard or store from start to end
 and refuses a key that is not greater than the key before it.
 
 A shard line (:class:`ShardLine`) is what one task saw of a class: the key,
-the least and the greatest member (vertex tuple order) and the multiplicity.
-No MMS is computed before the merge.  The merge combines the lines of one
-key across shards once -- least of the leasts, greatest of the greatests,
-multiplicities summed -- so the merged store does not depend on how the
-keys were spread over shards or in what order the shards are listed.  Then
-it has the three counts that are invariants of the class (#MMS, #conv,
-#floor) computed once, from the least member, and writes one record per
-class with that member as its representative.  Every AUDIT_STRIDE-th record
-is audited: its greatest member is computed too and must give the same
-counts, a check of the invariance the store relies on.
+the least and the greatest member (vertex tuples, origin included) and the
+multiplicity.  No MMS is computed before the merge.  One combine,
+:func:`_combine` -- least of the leasts, greatest of the greatests,
+multiplicities summed -- serves both phases: a task combines the lines of
+one key before it writes its shard, and the merge combines them across
+shards, so the merged store does not depend on how the keys were spread
+over shards or in what order the shards are listed.  Then the merge has the
+three counts that are invariants of the class (#MMS, #conv, #floor)
+computed once, from the least member, and writes one record per class
+whose representative is that member as simplex text.  Every
+AUDIT_STRIDE-th record is audited: its greatest member is computed too and
+must give the same counts, a check of the invariance the store relies on.
 
 Simplicial-set statistics are recovered by multiplicity weighting instead of
 storing every simplex.  The classification and h-ratio of a record are
@@ -40,7 +42,7 @@ from operator import attrgetter
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .engine import Classification, HRatio, classify, compute_mms, h_ratio
-from .geometry import SimplicialSet
+from .geometry import Point, SimplicialSet
 
 HISTOGRAM_BINS = 20
 AUDIT_STRIDE = 100  # every 100th merged record is recomputed from another member
@@ -115,49 +117,73 @@ class MmsRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "MmsRecord":
-        """Parse one line; ValueError when it is malformed, ``key`` or
-        ``representative`` is not a string, one of the four counts is not a
-        JSON integer, or its stored classification or h-ratio disagrees with
-        its counts."""
+        """Parse one line; ValueError when it is malformed or misses a
+        field, ``key`` or ``representative`` is not a string, one of the
+        four counts is not a JSON integer, the counts break
+        0 <= #floor <= #MMS <= #conv (the floor lies inside the MMS, the MMS
+        inside the hull) or the multiplicity is below 1, or its stored
+        classification or h-ratio disagrees with its counts."""
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise ValueError("a record must be a JSON object")
         for field in ("key", "representative"):
-            if not isinstance(payload[field], str):
+            if not isinstance(json_field(payload, field), str):
                 raise ValueError(f"bad field type: {field} must be a string")
         counts = ("mms_size", "conv_count", "floor_count", "simplex_multiplicity")
         for field in counts:
             # a JSON true or false is a bool, not an integer
-            if type(payload[field]) is not int:
+            if type(json_field(payload, field)) is not int:
                 raise ValueError(f"bad field type: {field} must be an integer")
         rec = cls(payload["key"], payload["representative"], *(payload[f] for f in counts))
-        if rec.classification.value != payload["classification"]:
+        if not 0 <= rec.floor_count <= rec.mms_size <= rec.conv_count:
+            raise ValueError("counts must satisfy 0 <= floor_count <= mms_size <= conv_count")
+        if rec.simplex_multiplicity < 1:
+            raise ValueError("simplex_multiplicity must be at least 1")
+        if rec.classification.value != json_field(payload, "classification"):
             raise ValueError("classification does not match stored counts")
-        if str(rec.h_ratio) != payload["h_ratio"]:
+        if str(rec.h_ratio) != json_field(payload, "h_ratio"):
             raise ValueError("h-ratio does not match stored counts")
         return rec
 
 
+def json_field(payload: dict, name: str) -> Any:
+    """``payload[name]``; ValueError saying the field is missing when it is."""
+    if name not in payload:
+        raise ValueError(f"missing field {name}")
+    return payload[name]
+
+
 class ShardLine(NamedTuple):
     """One class as one task saw it: its key, its least and greatest members
-    (serialized simplices, in vertex tuple order) and how many simplices of
-    the class the task met.  A shard stores it as a JSON array."""
+    (vertex tuples, origin included) and how many simplices of the class the
+    task met.  A shard stores it as a JSON array, each member an array of
+    integer points."""
 
     key: str
-    least: str
-    greatest: str
+    least: tuple[Point, ...]
+    greatest: tuple[Point, ...]
     multiplicity: int
 
     @classmethod
     def from_json(cls, text: str) -> "ShardLine":
-        """Parse one shard line; ValueError unless it is an array of three
-        strings and an integer."""
+        """Parse one shard line, the one place a member is decoded; ValueError
+        unless it is an array of a string key, two members and an integer,
+        each member a non-empty array of arrays of JSON integers."""
         line = json.loads(text)
-        if not isinstance(line, list) or len(line) != 4 or type(line[3]) is not int:
+        if not (isinstance(line, list) and len(line) == 4) or not (
+            isinstance(line[0], str) and type(line[3]) is int
+        ):
             raise ValueError("a shard line must be [key, least, greatest, multiplicity]")
-        if not all(isinstance(field, str) for field in line[:3]):
-            raise ValueError("key, least and greatest must be strings")
-        return cls(*line)
+        key, *members, multiplicity = line
+        for member in members:
+            # a JSON true or false is a bool, not an integer
+            if (
+                not isinstance(member, list)
+                or set(map(type, member)) != {list}
+                or set(map(type, itertools.chain.from_iterable(member))) != {int}
+            ):
+                raise ValueError("a member must be a non-empty array of integer points")
+        return cls(key, *(tuple(map(tuple, m)) for m in members), multiplicity)
 
 
 class Shard:
@@ -179,24 +205,14 @@ class Shard:
                 fh.write("\n")
 
 
-def _vertex_order(member: str) -> tuple[int, ...]:
-    """Sort key of a serialized simplex in vertex tuple order: its
-    coordinates as one flat tuple, which orders simplices of one shape (the
-    members of one key) as their vertex tuples do, at a quarter of the cost
-    of parsing the points."""
-    return tuple(map(int, member.replace(";", ",").split(",")))
-
-
 def _combine(lines: list[ShardLine]) -> ShardLine:
-    """The one line of a key from its lines across shards: the least of the
-    least members, the greatest of the greatest members (vertex tuple
-    order, the order tasks keep them in) and the summed multiplicity."""
-    if len(lines) == 1:
-        return lines[0]
+    """The one line of a key from its lines, within a task or across
+    shards: the least of the least members, the greatest of the greatest
+    members (vertex tuple order) and the summed multiplicity."""
     return ShardLine(
         key=lines[0].key,
-        least=min((line.least for line in lines), key=_vertex_order),
-        greatest=max((line.greatest for line in lines), key=_vertex_order),
+        least=min(line.least for line in lines),
+        greatest=max(line.greatest for line in lines),
         multiplicity=sum(line.multiplicity for line in lines),
     )
 
@@ -214,7 +230,7 @@ def _read_lines(path: str, parse: Callable[[str], Any]) -> Iterator[Any]:
                 continue
             try:
                 rec = parse(line)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
             if last_key is not None and rec.key <= last_key:
                 raise StoreFormatError(f"{path}:{lineno}: keys out of order")
@@ -249,7 +265,7 @@ def merge(
     offset = 0
     with atomic_open(out_path) as out, atomic_open(out_path + ".idx") as idx:
         for count, (line, counts) in enumerate(counts_of(classes)):
-            rec = MmsRecord(line.key, line.least, *counts, line.multiplicity)
+            rec = MmsRecord(line.key, str(SimplicialSet(line.least)), *counts, line.multiplicity)
             if count % AUDIT_STRIDE == 0:
                 _audit_record(rec, line.greatest)
             text = rec.to_json() + "\n"
@@ -259,18 +275,19 @@ def merge(
     return Store.open(out_path)
 
 
-def _audit_record(rec: MmsRecord, member: str) -> None:
+def _audit_record(rec: MmsRecord, member: tuple[Point, ...]) -> None:
     """StoreAuditError naming the key unless ``member``, another simplex of
     the record's class, recomputes to the record's counts.  Passed the
     class's greatest member, which differs from the representative whenever
     the multiplicity is 2 or more, this tests the invariance of the counts
     over the class."""
-    result = compute_mms(SimplicialSet.parse(member))
+    delta = SimplicialSet.of(member)
+    result = compute_mms(delta)
     counts = (result.mms_size, result.conv_count, result.floor_count)
     stored = (rec.mms_size, rec.conv_count, rec.floor_count)
     if counts != stored:
         raise StoreAuditError(
-            f"audit failed for key {rec.key}: member {member} recomputes to "
+            f"audit failed for key {rec.key}: member {delta} recomputes to "
             f"(#MMS, #conv, #floor) = {counts}, the record holds {stored}"
         )
 
@@ -453,25 +470,11 @@ def stats_json(summaries: Iterable[StatsSummary]) -> dict:
 def stats_csv(
     summaries: Iterable[StatsSummary], n: int, two_d: int
 ) -> str:
-    """Stats table as CSV text with a fixed column layout:
-    scope,n,2d,total,h_count,m_count,intermediate_count,mean,sd,decrease_factor
+    """Stats table as CSV text: a fixed header, then one row per summary
     (sd is the population convention; decrease_factor only for lattices)."""
     buf = io.StringIO()
+    buf.write("scope,n,2d,total,h_count,m_count,intermediate_count,mean,sd,decrease_factor\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "scope",
-            "n",
-            "2d",
-            "total",
-            "h_count",
-            "m_count",
-            "intermediate_count",
-            "mean",
-            "sd",
-            "decrease_factor",
-        ]
-    )
     for s in summaries:
         writer.writerow(
             [
@@ -497,7 +500,9 @@ def export(store: Store, fmt: str, path: str, shape: tuple[int, int] | None = No
     repeat or go out of order raises StoreFormatError, and ``path`` is left
     as it was.  Without a shape, n and 2d are derived from the
     stored representatives: the ambient dimension and the largest vertex
-    degree, which is below the run's 2d when no class reaches it."""
+    degree, which is below the run's 2d when no class reaches it; a
+    representative that is not a simplex raises StoreFormatError naming the
+    store and the record's key."""
     if fmt == "jsonl":
         with atomic_open(path) as fh:
             for rec in store:
@@ -509,7 +514,10 @@ def export(store: Store, fmt: str, path: str, shape: tuple[int, int] | None = No
         if shape is None:
             n = two_d = 0
             for rec in store:
-                delta = SimplicialSet.parse(rec.representative)
+                try:
+                    delta = SimplicialSet.parse(rec.representative)
+                except ValueError as exc:
+                    raise StoreFormatError(f"{store.path}: key {rec.key}: {exc}") from exc
                 n, two_d = delta.ambient_dim, max(two_d, delta.max_degree)
             shape = n, two_d
         with atomic_open(path) as fh:

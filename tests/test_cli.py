@@ -205,6 +205,31 @@ GOOD_RECORD = {
             json.dumps({**GOOD_RECORD, "classification": "H", "h_ratio": "4/4"}),
             "classification does not match stored counts",
         ),
+        (
+            # derived fields agree with the counts, which break floor <= MMS
+            ["stats", "--store"],
+            json.dumps(
+                {**GOOD_RECORD, "mms_size": 3, "classification": "INTERMEDIATE", "h_ratio": "-3/4"}
+            ),
+            ":1: bad record: counts must satisfy 0 <= floor_count <= mms_size <= conv_count",
+        ),
+        (
+            ["stats", "--store"],
+            json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "mms_size"}),
+            ":1: bad record: missing field mms_size",
+        ),
+        (["mms", "--in"], '{"nodelta": 1}\n', ":1: bad input line: missing field delta"),
+        (
+            ["check-sos", "--delta", "0,0;2,4;4,2", "--terms"],
+            '[{"sign": "NEG"}]',
+            ": entry 0: bad term: missing field beta",
+        ),
+        (
+            # no manifest beside the store, so export derives n and 2d from it
+            ["export", "--format", "csv", "--out", os.devnull, "--store"],
+            json.dumps({**GOOD_RECORD, "representative": "bogus"}),
+            ": key 2x2w1:2,4;0,6: bad lattice point 'bogus'",
+        ),
     ],
     ids=[
         "term-list",
@@ -215,6 +240,11 @@ GOOD_RECORD = {
         "count-list",
         "count-float",
         "derived-mismatch",
+        "count-order",
+        "record-missing-field",
+        "line-missing-field",
+        "term-missing-field",
+        "export-bad-representative",
     ],
 )
 def test_malformed_json_input_exits_invalid(capsys, tmp_path, argv, content, message):
@@ -390,6 +420,16 @@ def test_bad_manifest_field_types_exit_invalid(cli_run_dir, tmp_path, field, val
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("mms: error: ")
         assert f"bad manifest: {message}" in proc.stderr
+
+
+def test_pipeline_refuses_bad_mms_workers_before_writing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MMS_WORKERS", "abc")
+    out = tmp_path / "D"
+    code, text, err = run_main(capsys, "pipeline", "--dim", "2", "--deg", "4", "--out", str(out))
+    assert code == EXIT_INVALID
+    assert text == ""
+    assert err == "mms: error: MMS_WORKERS must be an integer, got 'abc'\n"
+    assert not out.exists()
 
 
 def test_replay_without_workers_ignores_mms_workers(cli_run_dir, capsys, monkeypatch, tmp_path):

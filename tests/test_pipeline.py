@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from mms import __version__, pipeline, store
-from mms.canon import canonical_key
+from mms.canon import canonical_key, hnf
 from mms.engine import compute_mms
-from mms.enumeration import enumerate_simplices
+from mms.enumeration import enumerate_simplices, vertex_list
 from mms.geometry import SimplicialSet
 from mms.pipeline import (
     SAMPLE_BLOCK,
@@ -18,7 +18,7 @@ from mms.pipeline import (
     replay,
     run_pipeline,
 )
-from mms.store import AUDIT_STRIDE
+from mms.store import AUDIT_STRIDE, ShardLine, _combine, _read_lines
 
 
 def read_bytes(path):
@@ -105,6 +105,23 @@ def test_merged_representatives_are_tuple_minima(tmp_path):
     with open(tmp_path / "merged.jsonl") as fh:
         stored = {rec["key"]: rec["representative"] for rec in map(json.loads, fh)}
     assert stored == {key: str(delta) for key, delta in least.items()}
+    # a task may meet one key through several HNFs; its shard holds, per
+    # key, the line that _combine gives for the lines of those HNFs
+    met_twice = 0
+    for part in range(len(vertex_list(2, 16)) - 1):
+        by_hnf = {}  # HNF -> (key, least, greatest, count) within the partition
+        for delta in enumerate_simplices(2, 16, part):
+            h = hnf(tuple(zip(*delta.points[1:])))
+            key, lo, hi, count = by_hnf.get(h, (canonical_key(delta).key_text, delta.points, (), 0))
+            by_hnf[h] = (key, min(lo, delta.points), max(hi, delta.points), count + 1)
+        by_key = {}
+        for key, lo, hi, count in by_hnf.values():
+            by_key.setdefault(key, []).append(ShardLine(key, lo, hi, count))
+        met_twice += sum(len(lines) > 1 for lines in by_key.values())
+        shard = tmp_path / "shards" / f"shard-{part:05d}.jsonl"
+        written = list(_read_lines(str(shard), ShardLine.from_json))
+        assert written == [_combine(by_key[key]) for key in sorted(by_key)]
+    assert met_twice > 0
 
 
 def test_worker_count_does_not_change_outputs(full_run, tmp_path):

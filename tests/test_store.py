@@ -54,8 +54,8 @@ def line_for(delta, multiplicity=1, greatest=None):
     """The shard line of a task that met ``delta`` (and ``greatest``)."""
     return ShardLine(
         key=canonical_key(delta).key_text,
-        least=str(delta),
-        greatest=str(greatest or delta),
+        least=delta.points,
+        greatest=(greatest or delta).points,
         multiplicity=multiplicity,
     )
 
@@ -133,11 +133,46 @@ def test_record_json_rejects_fields_of_the_wrong_type(field, value, kind):
         MmsRecord.from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((3, 10, 6, 1), "0 <= floor_count <= mms_size <= conv_count"),  # INTERMEDIATE, -3/4
+        ((-3, 10, 6, 1), "0 <= floor_count <= mms_size <= conv_count"),  # INTERMEDIATE, -9/4
+        ((6, 10, -1, 1), "0 <= floor_count <= mms_size <= conv_count"),  # INTERMEDIATE, 7/11
+        ((12, 10, 6, 1), "0 <= floor_count <= mms_size <= conv_count"),  # INTERMEDIATE, 6/4
+        ((6, 10, 6, -5), "simplex_multiplicity must be at least 1"),
+        ((6, 10, 6, 0), "simplex_multiplicity must be at least 1"),
+    ],
+    ids=[
+        "mms-below-floor",
+        "mms-negative",
+        "floor-negative",
+        "mms-above-conv",
+        "mult-negative",
+        "mult-zero",
+    ],
+)
+def test_record_json_rejects_counts_outside_the_sandwich(counts, message):
+    # the floor lies inside the MMS and the MMS inside the hull; each line's
+    # classification and h-ratio agree with its counts, so only the order fails
+    line = MmsRecord("2x2w1:2,4;0,6", str(MOTZKIN), *counts).to_json()
+    with pytest.raises(ValueError, match=message):
+        MmsRecord.from_json(line)
+
+
+@pytest.mark.parametrize("field", ["key", "mms_size", "classification", "h_ratio"])
+def test_record_json_names_a_missing_field(field):
+    payload = json.loads(record_for(MOTZKIN).to_json())
+    del payload[field]
+    with pytest.raises(ValueError, match=f"^missing field {field}$"):
+        MmsRecord.from_json(json.dumps(payload))
+
+
 def test_shard_line_format(tmp_path):
     # key, least member, greatest member, multiplicity
     (path,) = write_shards(tmp_path, [line_for(TWIN, 3, greatest=MOTZKIN)])
     with open(path) as fh:
-        assert fh.read() == '["2x2w1:2,4;0,6","0,0;2,0;4,6","0,0;2,4;4,2",3]\n'
+        assert fh.read() == '["2x2w1:2,4;0,6",[[0,0],[2,0],[4,6]],[[0,0],[2,4],[4,2]],3]\n'
     assert read_shard(path) == [line_for(TWIN, 3, greatest=MOTZKIN)]
 
 
@@ -177,7 +212,7 @@ def test_combine_keeps_least_and_greatest_members():
     # the text order would keep "0,0;0,2;10,0" as the greatest; (0, 10) > (0, 2)
     wide = SimplicialSet.parse("0,0;0,10;2,0")
     tall = SimplicialSet.parse("0,0;0,2;10,0")
-    assert _combine([line_for(tall), line_for(wide)]).greatest == str(wide)
+    assert _combine([line_for(tall), line_for(wide)]).greatest == wide.points
 
 
 def test_merge_audits_each_class_from_its_greatest_member(tmp_path, monkeypatch):
@@ -229,6 +264,12 @@ def test_iter_shard_rejects_garbage_line(tmp_path):
         '["k","0,0;2,0","0,0;2,0"]',
         '["k","0,0;2,0","0,0;2,0","2"]',
         '["k",["0,0","2,0"],"0,0;2,0",2]',
+        '[5,[[0,0],[2,0]],[[0,0],[2,0]],2]',  # a key that is not a string
+        '["k","0,0;2,0",[[0,0],[2,0]],2]',  # a member in simplex text
+        '["k",[[0,0],[2,0]],[],2]',  # an empty member
+        '["k",[[0,0],[2.0,0]],[[0,0],[2,0]],2]',  # a float coordinate
+        '["k",[[0,0],[2,0]],[[0,0],[true,0]],2]',  # a true coordinate
+        '["k",[[0,0],2],[[0,0],[2,0]],2]',  # a point that is not an array
     ]
     for garbage in garbage_lines:
         with open(path, "w") as fh:
