@@ -27,6 +27,7 @@ from .sos import (
     Sign,
     SimplexSupportedPoly,
     circuit_is_sos,
+    require_hypothesis,
     sonc_simplex_is_sos,
     sos_bound_is_exact,
 )
@@ -216,6 +217,7 @@ def _cmd_check_sos(args) -> int:
         verdict = sos_bound_is_exact(poly)
         question = "sos_bound_is_exact"
     elif args.beta is not None and len(terms) == 1:
+        require_hypothesis(terms)
         support = CircuitSupport(delta=delta, beta=terms[0].beta)
         verdict = circuit_is_sos(support)
         question = "circuit_is_sos"

@@ -3,16 +3,19 @@ compute MMS per lattice class, and summarize.
 
 A run has two phases, in one pool of workers (or none at ``workers=1``).
 Phase 1: each task walks its partition or samples its block, keys each
-simplex as a :class:`mms.store.ShardLine`, and groups the lines by
-canonical key in ``_aggregate_to_shard``, which combines each key's lines
-with ``store._combine``: the multiplicity and the least and the greatest
-vertex tuple.  It writes one shard line per key and computes no MMS.
-Phase 2: :func:`mms.store.merge` combines each key's lines across shards
-with the same ``_combine`` and has the counts of each merged class computed
-once, from its least member, through the pool's ordered ``imap``, with a
-progress line per ``PROGRESS_CLASSES`` classes; every ``AUDIT_STRIDE``-th
-class is audited from its greatest member.  One pass over the merged store
-then yields the statistics of both scopes.
+simplex as a :class:`mms.store.ShardLine`, and hands the lines to a
+:class:`mms.store.Shard`, which groups them by canonical key and combines
+each key's lines: the multiplicity and the least and the greatest vertex
+tuple.  It writes one shard line per key and computes no MMS.
+Phase 2: :func:`mms.store.merge` groups and combines each key's lines
+across shards the same way and streams members to
+:func:`_invariants_for`, the one function that turns a member into its
+class's counts, through the pool's ordered ``imap`` (or ``map`` when
+serial): each merged class's least member once, and every
+``AUDIT_STRIDE``-th class's greatest member for the audit, so the audits
+run in the pool too.  Only members go to the workers and only counts come
+back.  One pass over the merged store then yields the statistics of both
+scopes.
 
 Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling, and the merge keeps
@@ -34,7 +37,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
@@ -48,7 +51,6 @@ from .store import (
     ShardLine,
     StatsSummary,
     Store,
-    _combine,
     atomic_open,
     merge,
     stats,
@@ -57,10 +59,9 @@ from .store import (
 )
 
 SAMPLE_BLOCK = 2000  # fixed block size; results never depend on worker count
-# classes per pool round trip in phase 2: at one class each, the round trips
-# add about 30% to the CPU time of a 2d=50 survey
+# members per pool round trip in phase 2: at one each, the round trips add
+# about 30% to the CPU time of a 2d=50 survey
 CLASS_CHUNK = 32
-PROGRESS_CLASSES = 10_000  # phase 2 prints a progress line per this many classes
 
 
 @dataclass
@@ -117,42 +118,22 @@ class RunManifest:
         return cls(**payload)
 
 
-def _invariants_for(delta: SimplicialSet) -> Counts:
-    """The three counts (#MMS, #conv, #floor) of ``delta``'s lattice class:
-    they are invariants of the class, and a record's classification and
-    h-ratio are derived from them."""
-    result = compute_mms(delta)
+def _invariants_for(member: tuple[Point, ...]) -> Counts:
+    """Phase 2: the three counts (#MMS, #conv, #floor) of the lattice class
+    of ``member``, a vertex tuple; they are invariants of the class, and a
+    record's classification and h-ratio are derived from them.  The member
+    is not validated again: phase 1 took it from a simplex, the shard
+    reader checked its form (the merge checks an audited member with
+    ``SimplicialSet.of``), and validation costs about 5% of a 4x16 class's
+    MMS."""
+    result = compute_mms(SimplicialSet(member))
     return result.mms_size, result.conv_count, result.floor_count
 
 
-def _class_task(line: ShardLine) -> tuple[ShardLine, Counts]:
-    """Phase 2: one merged class with its counts, from its least member.
-    The member is not validated again: phase 1 took it from a simplex, the
-    shard reader checked its form, and validation costs about 5% of a 4x16
-    class's MMS."""
-    return line, _invariants_for(SimplicialSet(line.least))
-
-
-def _with_progress(pairs: Iterable[tuple]) -> Iterator[tuple]:
-    """Phase 2's (class, counts) pairs, passed through with a progress line
-    after every ``PROGRESS_CLASSES``-th class."""
-    for done, pair in enumerate(pairs, start=1):
-        if done % PROGRESS_CLASSES == 0:
-            print(f"[mms] classes: {done}", file=sys.stderr)
-        yield pair
-
-
 def _aggregate_to_shard(lines: Iterable[ShardLine], shard_path: str) -> str:
-    """Phase 1: group a task's lines by key and combine each group with
-    ``_combine``, the merge's combine.  Writes one line per key to
-    ``shard_path``; no MMS is computed here."""
-    groups: dict[str, list[ShardLine]] = {}
-    for line in lines:
-        groups.setdefault(line.key, []).append(line)
-    shard = Shard()
-    for group in groups.values():
-        shard.put(_combine(group))
-    shard.write(shard_path)
+    """Phase 1: write a task's lines to ``shard_path`` as a :class:`Shard`,
+    one combined line per key; no MMS is computed here."""
+    Shard(lines).write(shard_path)
     return shard_path
 
 
@@ -272,16 +253,12 @@ def run_pipeline(
                     print(f"[mms] {label}: {done}/{total}", file=sys.stderr)
             manifest.shard_paths = sorted(shard_paths)
             print(f"[mms] merging {len(shard_paths)} shards", file=sys.stderr)
-            class_map = (
-                partial(map, _class_task)
+            counts_of = (
+                partial(map, _invariants_for)
                 if serial
-                else partial(pool.imap, _class_task, chunksize=CLASS_CHUNK)
+                else partial(pool.imap, _invariants_for, chunksize=CLASS_CHUNK)
             )
-            store = merge(
-                manifest.shard_paths,
-                os.path.join(out_dir, "merged.jsonl"),
-                lambda classes: _with_progress(class_map(classes)),
-            )
+            store = merge(manifest.shard_paths, os.path.join(out_dir, "merged.jsonl"), counts_of)
         sim, lat = stats(store)
         with atomic_open(os.path.join(out_dir, "stats.csv")) as fh:
             fh.write(stats_csv([sim, lat], n, two_d))

@@ -1,10 +1,12 @@
 """Combinatorial SOS decisions via MMS membership.
 
-For a nonnegative circuit polynomial, SOS-ness is equivalent to the interior
+For a nonnegative circuit polynomial whose inner coefficient is negative or
+whose inner exponent is odd, SOS-ness is equivalent to the interior
 exponent lying in the MMS of the support simplex.  For a simplex-supported
 polynomial whose inner terms all have a negative coefficient or an odd
 exponent, SOS-ness is equivalent to all inner exponents lying in the MMS.
-Outside that hypothesis the equivalence fails and the decision is refused.
+Outside that hypothesis (:func:`require_hypothesis`) the equivalence fails
+and the decision is refused.
 Each decision reads the MMS of its own support through a bounded memo
 keyed by the simplex; no lattice key is needed.
 """
@@ -121,9 +123,23 @@ class _MmsMemo:
 _memo = _MmsMemo()
 
 
+def require_hypothesis(terms: Iterable[InnerTerm]) -> None:
+    """HypothesisViolation unless every inner term has coeff_sign NEG or
+    parity ODD, the hypothesis of the MMS equivalence.  A positive
+    coefficient on an even exponent makes the term a monomial square, so
+    the polynomial can be SOS whatever the MMS holds."""
+    for term in terms:
+        if term.coeff_sign is not Sign.NEG and term.parity is not Parity.ODD:
+            raise HypothesisViolation(
+                f"inner term {term.beta} has a positive coefficient and even "
+                "exponent; the SOS equivalence does not apply"
+            )
+
+
 def circuit_is_sos(c: CircuitSupport) -> bool:
-    """Decide SOS-ness of a nonnegative circuit polynomial with support c:
-    true iff the interior exponent lies in the MMS of the vertex simplex."""
+    """Decide SOS-ness of a nonnegative circuit polynomial with support c,
+    whose inner term meets :func:`require_hypothesis`: true iff the
+    interior exponent lies in the MMS of the vertex simplex."""
     return c.beta in _memo.mms_of(c.delta)
 
 
@@ -132,12 +148,7 @@ def sonc_simplex_is_sos(f: SimplexSupportedPoly) -> bool:
     polynomial.  Requires every inner term to have coeff_sign NEG or parity
     ODD; otherwise the underlying equivalence does not apply and a
     HypothesisViolation is raised instead of guessing."""
-    for term in f.inner_terms:
-        if term.coeff_sign is not Sign.NEG and term.parity is not Parity.ODD:
-            raise HypothesisViolation(
-                f"inner term {term.beta} has a positive coefficient and even "
-                "exponent; the SOS equivalence does not apply"
-            )
+    require_hypothesis(f.inner_terms)
     if not f.inner_terms:
         return True
     mms = _memo.mms_of(f.delta)

@@ -1,5 +1,6 @@
 """Persistent store of MMS records: sorted JSONL shards, a k-way
-deterministic merge that computes each class's counts, statistics, export.
+deterministic merge that has each class's counts computed, statistics,
+export.
 
 One line per canonical lattice key, in strictly increasing key order: the
 one reader, :func:`_read_lines`, streams a shard or store from start to end
@@ -7,17 +8,21 @@ and refuses a key that is not greater than the key before it.
 
 A shard line (:class:`ShardLine`) is what one task saw of a class: the key,
 the least and the greatest member (vertex tuples, origin included) and the
-multiplicity.  No MMS is computed before the merge.  One combine,
-:func:`_combine` -- least of the leasts, greatest of the greatests,
-multiplicities summed -- serves both phases: a task combines the lines of
-one key before it writes its shard, and the merge combines them across
-shards, so the merged store does not depend on how the keys were spread
-over shards or in what order the shards are listed.  Then the merge has the
-three counts that are invariants of the class (#MMS, #conv, #floor)
-computed once, from the least member, and writes one record per class
-whose representative is that member as simplex text.  Every
-AUDIT_STRIDE-th record is audited: its greatest member is computed too and
-must give the same counts, a check of the invariance the store relies on.
+multiplicity.  No MMS is computed before the merge.  One grouping,
+:func:`_combined` -- the lines of each key, sorted by key, combined by
+:func:`_combine` into the least of the leasts, the greatest of the
+greatests and the summed multiplicity -- serves both phases: a
+:class:`Shard` combines one task's lines of a key before it is written,
+and the merge combines them across shards, so the merged store does not
+depend on how the keys were spread over shards or in what order the shards
+are listed.  The store computes no MMS itself: the merge streams members to
+a ``counts_of`` map (the pipeline's serial ``map`` or its pool's ordered
+``imap``) and gets back the three counts that are invariants of the class
+(#MMS, #conv, #floor), once per class from its least member, and writes one
+record per class whose representative is that member as simplex text.
+Every AUDIT_STRIDE-th class also has its greatest member mapped, and
+:func:`_audit_record` checks that it gives the same counts, a check of the
+invariance the store relies on.
 
 Simplicial-set statistics are recovered by multiplicity weighting instead of
 storing every simplex.  The classification and h-ratio of a record are
@@ -34,6 +39,8 @@ import itertools
 import json
 import math
 import os
+import sys
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -41,11 +48,12 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
-from .engine import Classification, HRatio, classify, compute_mms, h_ratio
+from .engine import Classification, HRatio, classify, h_ratio
 from .geometry import Point, SimplicialSet
 
 HISTOGRAM_BINS = 20
 AUDIT_STRIDE = 100  # every 100th merged record is recomputed from another member
+PROGRESS_CLASSES = 10_000  # the merge prints a progress line per this many classes
 
 
 class StoreFormatError(ValueError):
@@ -63,15 +71,21 @@ def atomic_open(path: str) -> Iterator[IO[str]]:
     sibling temp file, which ``os.replace`` moves onto ``path`` only when the
     block ends without error; on error the temp file is removed and ``path``
     is left as it was.  So a crashed run never leaves a half-written file.
-    A path that exists but is not a regular file (a device or pipe such as
-    /dev/stdout) cannot be replaced, so it is written in place."""
+    When the temp file cannot be created, the OSError names ``path``, the
+    file the caller asked for.  A path that exists but is not a regular
+    file (a device or pipe such as /dev/stdout) cannot be replaced, so it
+    is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -186,22 +200,20 @@ class ShardLine(NamedTuple):
         return cls(key, *(tuple(map(tuple, m)) for m in members), multiplicity)
 
 
+_by_key = attrgetter("key")
+
+
 class Shard:
-    """One task's shard lines, at most one per key, written sorted by key."""
+    """One task's shard lines, combined to one line per key (see
+    :func:`_combined`) and written sorted by key."""
 
-    def __init__(self) -> None:
-        self._lines: dict[str, ShardLine] = {}
-
-    def put(self, line: ShardLine) -> None:
-        """Add a line; ValueError if the shard already holds its key."""
-        if line.key in self._lines:
-            raise ValueError(f"shard already holds a line for key {line.key}")
-        self._lines[line.key] = line
+    def __init__(self, lines: Iterable[ShardLine]) -> None:
+        self._lines = list(_combined(sorted(lines, key=_by_key)))
 
     def write(self, path: str) -> None:
         with atomic_open(path) as fh:
-            for key in sorted(self._lines):
-                fh.write(json.dumps(self._lines[key], separators=(",", ":")))
+            for line in self._lines:
+                fh.write(json.dumps(line, separators=(",", ":")))
                 fh.write("\n")
 
 
@@ -215,6 +227,12 @@ def _combine(lines: list[ShardLine]) -> ShardLine:
         greatest=max(line.greatest for line in lines),
         multiplicity=sum(line.multiplicity for line in lines),
     )
+
+
+def _combined(lines: Iterable[ShardLine]) -> Iterator[ShardLine]:
+    """One line per key, by :func:`_combine`, from lines sorted by key: the
+    grouping of a task's shard and of the merge alike."""
+    return (_combine(list(group)) for _, group in itertools.groupby(lines, key=_by_key))
 
 
 def _read_lines(path: str, parse: Callable[[str], Any]) -> Iterator[Any]:
@@ -244,50 +262,63 @@ Counts = tuple[int, int, int]
 def merge(
     shard_paths: Iterable[str],
     out_path: str,
-    counts_of: Callable[[Iterable[ShardLine]], Iterable[tuple[ShardLine, Counts]]],
+    counts_of: Callable[[Iterable[tuple[Point, ...]]], Iterator[Counts]],
 ) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
     ``.idx`` sidecar of key offsets.  The lines of each key are combined
-    once (see ``_combine``), so shard order cannot affect the output.
+    once (see :func:`_combined`), so shard order cannot affect the output.
 
-    ``counts_of`` maps the merged classes, in key order, to (class, counts)
-    pairs in the same order, the counts (#MMS, #conv, #floor) computed from
-    the class's least member: a serial ``map`` or a pool's ordered
-    ``imap``.  So each class of the run is computed once, here, whatever
-    the number of shards it spans.  Every AUDIT_STRIDE-th record is
-    audited from its class's greatest member.
+    ``counts_of`` maps members (vertex tuples) to their counts (#MMS, #conv,
+    #floor), in order: a serial ``map`` or a pool's ordered ``imap``.  The
+    merge feeds it, in key order, the least member of each class, so each
+    class of the run is computed once, here, whatever the number of shards
+    it spans; after every AUDIT_STRIDE-th class it also feeds that class's
+    greatest member, checked by ``SimplicialSet.of``, for the audit.  A
+    FIFO of classes in flight pairs the counts with their classes; a pool
+    reads the members in its task-handler thread, so the FIFO is a
+    thread-safe ``deque``.  A progress line goes to stderr after every
+    PROGRESS_CLASSES-th class.
     """
-    by_key = attrgetter("key")
     lines = heapq.merge(
-        *(_read_lines(p, ShardLine.from_json) for p in sorted(shard_paths)), key=by_key
+        *(_read_lines(p, ShardLine.from_json) for p in sorted(shard_paths)), key=_by_key
     )
-    classes = (_combine(list(group)) for _, group in itertools.groupby(lines, key=by_key))
+    in_flight: deque[tuple[ShardLine, SimplicialSet | None]] = deque()
+
+    def members() -> Iterator[tuple[Point, ...]]:
+        for count, line in enumerate(_combined(lines)):
+            audit = SimplicialSet.of(line.greatest) if count % AUDIT_STRIDE == 0 else None
+            in_flight.append((line, audit))
+            yield line.least
+            if audit is not None:
+                yield audit.points
+
     offset = 0
     with atomic_open(out_path) as out, atomic_open(out_path + ".idx") as idx:
-        for count, (line, counts) in enumerate(counts_of(classes)):
+        results = counts_of(members())
+        for done, counts in enumerate(results, start=1):
+            line, audit = in_flight.popleft()
             rec = MmsRecord(line.key, str(SimplicialSet(line.least)), *counts, line.multiplicity)
-            if count % AUDIT_STRIDE == 0:
-                _audit_record(rec, line.greatest)
+            if audit is not None:
+                _audit_record(rec, audit, next(results))
             text = rec.to_json() + "\n"
             idx.write(f"{rec.key}\t{offset}\n")
             out.write(text)
             offset += len(text.encode("utf-8"))
+            if done % PROGRESS_CLASSES == 0:
+                print(f"[mms] classes: {done}", file=sys.stderr)
     return Store.open(out_path)
 
 
-def _audit_record(rec: MmsRecord, member: tuple[Point, ...]) -> None:
-    """StoreAuditError naming the key unless ``member``, another simplex of
-    the record's class, recomputes to the record's counts.  Passed the
-    class's greatest member, which differs from the representative whenever
-    the multiplicity is 2 or more, this tests the invariance of the counts
-    over the class."""
-    delta = SimplicialSet.of(member)
-    result = compute_mms(delta)
-    counts = (result.mms_size, result.conv_count, result.floor_count)
+def _audit_record(rec: MmsRecord, member: SimplicialSet, counts: Counts) -> None:
+    """StoreAuditError naming the key unless ``counts``, computed from
+    ``member``, another simplex of the record's class, equal the record's
+    counts.  Passed the class's greatest member, which differs from the
+    representative whenever the multiplicity is 2 or more, this tests the
+    invariance of the counts over the class."""
     stored = (rec.mms_size, rec.conv_count, rec.floor_count)
     if counts != stored:
         raise StoreAuditError(
-            f"audit failed for key {rec.key}: member {delta} recomputes to "
+            f"audit failed for key {rec.key}: member {member} recomputes to "
             f"(#MMS, #conv, #floor) = {counts}, the record holds {stored}"
         )
 

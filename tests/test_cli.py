@@ -503,6 +503,23 @@ def test_stats_missing_store_is_io_error(capsys, tmp_path):
     assert "i/o error" in err
 
 
+@pytest.mark.parametrize("command", ["sample", "export"])
+def test_out_in_a_missing_directory_names_the_requested_path(
+    cli_run_dir, capsys, tmp_path, command
+):
+    out = str(tmp_path / "missing" / "f")
+    store = os.path.join(cli_run_dir, "merged.jsonl")
+    argv = {
+        "sample": ["sample", "--dim", "2", "--deg", "4", "--seed", "1", "--count", "2"],
+        "export": ["export", "--store", store, "--format", "jsonl"],
+    }[command]
+    code, _, err = run_main(capsys, *argv, "--out", out)
+    assert code == EXIT_IO
+    assert err.count("\n") == 1
+    assert err.startswith("mms: i/o error: ") and err.rstrip().endswith(f"'{out}'")
+    assert ".tmp" not in err
+
+
 def test_export_cli(cli_run_dir, capsys, tmp_path):
     store = os.path.join(cli_run_dir, "merged.jsonl")
     dump = str(tmp_path / "dump.jsonl")
@@ -598,6 +615,23 @@ def test_check_sos_hypothesis_violation(capsys, tmp_path):
     )
     assert code == EXIT_INVALID
     assert "positive coefficient" in err
+
+
+def test_check_sos_beta_applies_the_hypothesis(capsys):
+    # 1 + x^2y^4 + x^4y^2 + c x^2y^2 with c > 0 is a sum of monomial squares
+    code, out, err = run_main(
+        capsys, "check-sos", "--delta", "0,0;2,4;4,2", "--beta", "2,2", "--sign", "POS"
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "positive coefficient" in err
+    # a positive coefficient on an odd exponent keeps its MMS verdict
+    code, out, _ = run_main(
+        capsys, "check-sos", "--delta", "0,0;2,4;4,2", "--beta", "1,1", "--sign", "POS"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] is False
 
 
 def test_check_sos_exactness(capsys):

@@ -144,7 +144,6 @@ def test_each_class_is_computed_once(monkeypatch, tmp_path, workers):
         return compute_mms(delta)
 
     monkeypatch.setattr(pipeline, "compute_mms", logged)
-    monkeypatch.setattr(store, "compute_mms", logged)
     _, lat = run_pipeline(2, 16, "full", workers, str(tmp_path / "run"))
     audits = -(-lat.total_count // AUDIT_STRIDE)
     assert lat.total_count > AUDIT_STRIDE
@@ -153,7 +152,7 @@ def test_each_class_is_computed_once(monkeypatch, tmp_path, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_merge_prints_a_progress_line_per_classes(monkeypatch, capsys, tmp_path, workers):
-    monkeypatch.setattr(pipeline, "PROGRESS_CLASSES", 5)
+    monkeypatch.setattr(store, "PROGRESS_CLASSES", 5)
     _, lat = run_pipeline(2, 8, "full", workers, str(tmp_path / "run"))
     err = capsys.readouterr().err.splitlines()
     expected = [f"[mms] classes: {done}" for done in range(5, lat.total_count + 1, 5)]

@@ -3,16 +3,19 @@
 import itertools
 import json
 import math
+import multiprocessing
 import os
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
+from mms import store
 from mms.canon import canonical_key
 from mms.engine import Classification, compute_mms
 from mms.geometry import SimplicialSet
-from mms.pipeline import _class_task, run_pipeline
+from mms.pipeline import CLASS_CHUNK, _invariants_for, run_pipeline
 from mms.store import (
     HISTOGRAM_BINS,
     MmsRecord,
@@ -60,8 +63,8 @@ def line_for(delta, multiplicity=1, greatest=None):
     )
 
 
-# phase 2 in this process: the counts of each merged class, in key order
-serial_counts = partial(map, _class_task)
+# phase 2 in this process: the counts of each member, in order
+serial_counts = partial(map, _invariants_for)
 
 
 def read_shard(path):
@@ -72,11 +75,8 @@ def write_shards(tmp_path, *shards):
     """Write each list of shard lines as one shard; the shard paths."""
     paths = []
     for i, lines in enumerate(shards):
-        sh = Shard()
-        for line in lines:
-            sh.put(line)
         paths.append(str(tmp_path / f"shard-{i}.jsonl"))
-        sh.write(paths[-1])
+        Shard(lines).write(paths[-1])
     return paths
 
 
@@ -186,11 +186,17 @@ def test_shard_combines_same_key(tmp_path):
     assert rec.mms_size == 6 and rec.classification is Classification.M
 
 
-def test_shard_refuses_a_second_record_for_a_key():
-    sh = Shard()
-    sh.put(line_for(MOTZKIN, 2))
-    with pytest.raises(ValueError, match="already holds a line for key 2x2w1:2,4;0,6"):
-        sh.put(line_for(TWIN, 3))
+def test_shard_combines_a_keys_lines_as_the_merge_does(tmp_path):
+    lines = [line_for(MOTZKIN, 2), line_for(HURWITZ), line_for(TWIN, 3, greatest=MOTZKIN)]
+    one = str(tmp_path / "one.shard")
+    Shard(lines).write(one)
+    assert read_shard(one) == [_combine([lines[0], lines[2]]), lines[1]]
+    # the same lines one per shard: the merge combines them to the same store
+    apart = write_shards(tmp_path, *([line] for line in lines))
+    merge([one], str(tmp_path / "one.jsonl"), serial_counts)
+    merge(apart, str(tmp_path / "apart.jsonl"), serial_counts)
+    with open(tmp_path / "one.jsonl", "rb") as f1, open(tmp_path / "apart.jsonl", "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["wide-first", "tall-first"])
@@ -215,16 +221,29 @@ def test_combine_keeps_least_and_greatest_members():
     assert _combine([line_for(tall), line_for(wide)]).greatest == wide.points
 
 
-def test_merge_audits_each_class_from_its_greatest_member(tmp_path, monkeypatch):
+def recording_counts(fed):
+    """A serial ``counts_of`` that appends each member it is fed to ``fed``."""
+    return partial(map, lambda member: fed.append(member) or _invariants_for(member))
+
+
+def test_merge_audits_each_class_from_its_greatest_member(tmp_path):
     # phase 2 computes the least member, TWIN; the audit computes MOTZKIN
-    audited = []
-    monkeypatch.setattr(
-        "mms.store.compute_mms", lambda delta: audited.append(str(delta)) or compute_mms(delta)
-    )
+    computed = []
     paths = write_shards(tmp_path, [line_for(MOTZKIN, 2)], [line_for(TWIN, 3)])
-    (rec,) = merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
+    (rec,) = merge(paths, str(tmp_path / "m.jsonl"), recording_counts(computed))
     assert rec.representative == str(TWIN)
-    assert audited == [str(MOTZKIN)]
+    assert computed == [TWIN.points, MOTZKIN.points]
+
+
+def test_merge_feeds_least_members_in_key_order_and_audits_after_their_least(
+    tmp_path, monkeypatch
+):
+    # classes in key order: Motzkin's (least TWIN), HURWITZ's, DIM4's; at
+    # stride 2 the first and the third are audited
+    monkeypatch.setattr(store, "AUDIT_STRIDE", 2)
+    fed = []
+    merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"), recording_counts(fed))
+    assert fed == [TWIN.points, MOTZKIN.points, HURWITZ.points, DIM4.points, DIM4.points]
 
 
 def test_combine_requires_equal_keys(tmp_path):
@@ -330,6 +349,38 @@ def test_merge_audits_first_record(tmp_path):
     ):
         merge(paths, str(tmp_path / "m.jsonl"), serial_counts)
     assert not os.path.exists(tmp_path / "m.jsonl")
+
+
+ODD = ((0, 0), (5, 2), (6, 6))  # a greatest member with an odd vertex
+
+
+@pytest.mark.parametrize(
+    "greatest, error, message",
+    [
+        (STRANGER.points, StoreAuditError, f"audit failed for key 2x2w1:2,4;0,6: member {STRANGER}"),
+        (ODD, ValueError, "vertex 5,2 is not even"),
+    ],
+    ids=["stranger", "odd"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_merge_stops_at_a_bad_audit_member(tmp_path, greatest, error, message, workers):
+    # the audit's member goes through counts_of, in a pool as run_pipeline
+    # builds it too; the merge stops at the first class and leaves no store
+    paths = write_shards(
+        tmp_path,
+        [line_for(MOTZKIN, 2), line_for(HURWITZ)],
+        [line_for(TWIN)._replace(greatest=greatest)],
+    )
+    with nullcontext() if workers == 1 else multiprocessing.Pool(workers) as pool:
+        counts_of = (
+            serial_counts
+            if pool is None
+            else partial(pool.imap, _invariants_for, chunksize=CLASS_CHUNK)
+        )
+        with pytest.raises(error, match=f"^{message}"):
+            merge(paths, str(tmp_path / "m.jsonl"), counts_of)
+    assert not os.path.exists(tmp_path / "m.jsonl")
+    assert not os.path.exists(tmp_path / "m.jsonl.idx")
 
 
 def test_merge_audit_stride_skips_later_records(tmp_path):
