@@ -198,9 +198,12 @@ def _cmd_check_sos(args) -> int:
         terms = [InnerTerm.of(parse_point(args.beta), Sign(args.sign))]
     else:
         with open(args.terms, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{args.terms}: bad --terms file: {exc}") from exc
         if not isinstance(raw, list):
-            raise ValueError("--terms file must contain a JSON list")
+            raise ValueError(f"{args.terms}: --terms file must contain a JSON list")
         terms = []
         for i, entry in enumerate(raw):
             try:

@@ -1,14 +1,19 @@
 """Enumeration of full-dimensional even simplices {0, v_1..v_n} with
 nonnegative vertices of 1-norm at most 2d.
 
-Index sets into the lex-ordered vertex list are walked in lex order with
+The walk picks n rows of the lex-ordered vertex list in lex order, with
 exact integer rank pruning: once a prefix of rows is rank-deficient, every
-index set extending it is skipped.  The rank state is the prefix's Hermite
-normal form H (one ``geometry._hnf_column`` step per row taken) and the
-unimodular U with H = U * prefix: a candidate v is independent iff U v is
-nonzero at or below row ``depth``, and each full index set comes with the
-HNF of its vertex matrix, the census's lattice key input.  The state is a
-stack along the current path, so the walk streams in bounded memory.
+simplex extending it is skipped.  It keeps a stack with one entry for the
+root and one per chosen row: the candidates left (an iterator over the
+row indices that may come next), the vertices so far (origin first), the
+prefix's Hermite normal form columns H (one ``geometry._hnf_column`` step
+per row taken) and the unimodular U with H = U * prefix.  A candidate v is
+independent iff U v is nonzero at or below row ``depth``; an independent
+one pushes an entry, an exhausted iterator pops one.  Each simplex is
+yielded as its vertex tuple, which is its ``SimplicialSet.points``,
+together with the HNF of its vertex matrix, the census's lattice key
+input.  The stack holds only the current path, so the walk streams in
+bounded memory.
 """
 from __future__ import annotations
 
@@ -40,34 +45,29 @@ def vertex_list(n: int, two_d: int) -> tuple[Point, ...]:
 
 def _iter_full_rank_sets(
     rows: Sequence[Point], n: int, partition: int | None = None
-) -> Iterator[tuple[tuple[int, ...], tuple[Point, ...]]]:
-    """Yield, in lex order, ``(index tuple, HNF columns)`` for every strictly
-    increasing n-tuple of row indices whose rows are linearly independent.
+) -> Iterator[tuple[tuple[Point, ...], tuple[Point, ...]]]:
+    """Yield, in lex order, ``(vertices, HNF columns)`` for every strictly
+    increasing n-tuple of rows that are linearly independent.  ``vertices``
+    is the simplex's ``SimplicialSet.points``: the origin, then those rows,
+    already sorted since the rows are lex-sorted and nonzero.
     The HNF columns are the columns of ``canon.hnf`` of the n x n matrix
     whose columns are those rows.  With partition set, only tuples whose
-    first index equals it."""
+    first row is ``rows[partition]``."""
     m = len(rows)
     # (coordinate, value) of each row's nonzero entries: at most d of them
     support = [tuple((j, c) for j, c in enumerate(row) if c) for row in rows]
-    sel: list[int] = []
-    # per level: the prefix's HNF columns, and U (as rows) with H = U * prefix
-    levels: list[tuple[tuple[Point, ...], list[list[int]]]] = [
-        ((), [[int(i == j) for j in range(n)] for i in range(n)])
-    ]
-    cursor = partition if partition is not None else 0
-    while True:
-        depth = len(sel)
-        if partition is not None and depth == 0:
-            limit = partition + 1
-        else:
-            limit = m - (n - depth) + 1
-        cols, u = levels[-1]
+    first = range(m - n + 1) if partition is None else range(partition, partition + 1)
+    # one entry per chosen row, plus the root: (candidates left, vertices so
+    # far, the prefix's HNF columns, U as rows with H = U * prefix)
+    stack = [(iter(first), ((0,) * n,), (), [[int(i == j) for j in range(n)] for i in range(n)])]
+    while stack:
+        cands, pts, cols, u = stack[-1]
+        depth = len(cols)
         if depth == n - 1:
             # the last column: only row n-1 lies below the pivots, so its
             # step is p = |w_(n-1)| and w_i mod p above it
-            prefix = tuple(sel)
             head, last = u[:-1], u[-1]
-            for c in range(cursor, limit):
+            for c in cands:
                 nz = support[c]
                 p = 0
                 for j, x in nz:
@@ -81,42 +81,37 @@ def _iter_full_rank_sets(
                             y += ui[j] * x
                         col.append(y % p)
                     col.append(p)
-                    yield prefix + (c,), cols + (tuple(col),)
-            cursor = limit
-        while cursor < limit:
-            nz = support[cursor]
+                    yield pts + (rows[c],), cols + (tuple(col),)
+            stack.pop()
+            continue
+        for c in cands:
+            nz = support[c]
             w = []
             for ui in u:
                 y = 0
                 for j, x in nz:
                     y += ui[j] * x
                 w.append(y)
-            cursor += 1
             if any(w[depth:]):
-                # v is independent of the prefix: one column step on [w | U]
+                # rows[c] is independent of the prefix: one column step on [w | U]
                 step = [[wi] + ui for wi, ui in zip(w, u)]
                 _hnf_column(step, depth, 0)
-                sel.append(cursor - 1)
-                levels.append((cols + (tuple(row[0] for row in step),), [row[1:] for row in step]))
+                later = iter(range(c + 1, m - n + depth + 2))
+                col = tuple(row[0] for row in step)
+                stack.append((later, pts + (rows[c],), cols + (col,), [row[1:] for row in step]))
                 break
         else:
-            if not sel:
-                return
-            cursor = sel.pop() + 1
-            levels.pop()
+            stack.pop()
 
 
 def enumerate_simplices(
     n: int, two_d: int, partition: int | None = None
 ) -> Iterator[SimplicialSet]:
     """Stream every full-dimensional simplex {0} cup {n rows of the vertex
-    list}, each exactly once, in lex order of index sets.  Partition streams
-    (one per first-row index) are disjoint and jointly exhaustive."""
+    list}, each exactly once, in lex order of vertex tuples.  Partition
+    streams (one per first-row index) are disjoint and jointly exhaustive."""
     rows = vertex_list(n, two_d)
     if partition is not None and not (0 <= partition < len(rows)):
         raise ValueError(f"partition {partition} out of range")
-    origin = (0,) * n
-    for idx, _ in _iter_full_rank_sets(rows, n, partition):
-        pts = (origin,) + tuple(rows[i] for i in idx)
-        # rows are lex-sorted and nonzero, so pts is sorted with origin first
+    for pts, _ in _iter_full_rank_sets(rows, n, partition):
         yield SimplicialSet(pts)

@@ -89,7 +89,10 @@ class RunManifest:
         ``mode`` of "full" or "sample", ``seed`` an integer or null and
         ``worker_count`` an integer."""
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{path}: bad manifest: {exc}") from exc
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: manifest must be a JSON object")
         fields = {f.name for f in dataclasses.fields(cls)}
@@ -140,22 +143,21 @@ def _aggregate_to_shard(lines: Iterable[ShardLine], shard_path: str) -> str:
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
     rows = vertex_list(n, two_d)
-    # HNF columns -> [count, least index tuple, greatest index tuple]; the
-    # walk runs in lex order, so the first index tuple of each HNF is its
-    # least and the last its greatest
+    # HNF columns -> [count, least vertex tuple, greatest vertex tuple]; the
+    # walk runs in lex order, so the first simplex of each HNF is its least
+    # and the last its greatest
     by_hnf: dict[tuple[Point, ...], list] = {}
-    for idx, cols in _iter_full_rank_sets(rows, n, partition):
+    for pts, cols in _iter_full_rank_sets(rows, n, partition):
         ent = by_hnf.get(cols)
         if ent is None:
-            by_hnf[cols] = [1, idx, idx]
+            by_hnf[cols] = [1, pts, pts]
         else:
             ent[0] += 1
-            ent[2] = idx
-    origin = ((0,) * n,)  # the lex-least vertex of every simplex walked
-    lines = []
-    for cols, (count, *ends) in by_hnf.items():
-        least, greatest = (origin + tuple(rows[i] for i in idx) for idx in ends)
-        lines.append(ShardLine(_key_of_hnf(transpose(cols)), least, greatest, count))
+            ent[2] = pts
+    lines = [
+        ShardLine(_key_of_hnf(transpose(cols)), least, greatest, count)
+        for cols, (count, least, greatest) in by_hnf.items()
+    ]
     return _aggregate_to_shard(lines, shard_path)
 
 

@@ -476,10 +476,8 @@ def stats(store: Store) -> tuple[StatsSummary, StatsSummary]:
     """
     sim, lat = _ScopeSums(), _ScopeSums()
     for rec in store:
-        h = rec.h_ratio
-        p, q = (h.numerator_count, h.denominator_count) if h.denominator_count else (1, 1)
-        g = math.gcd(p, q)
-        p, q = p // g, q // g
+        h = rec.h_ratio.value
+        p, q = h.numerator, h.denominator
         label = rec.classification
         bin_idx = min(HISTOGRAM_BINS - 1, (p * HISTOGRAM_BINS) // q)
         sim.add(rec.simplex_multiplicity, label, p, q, bin_idx)

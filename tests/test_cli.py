@@ -422,6 +422,38 @@ def test_bad_manifest_field_types_exit_invalid(cli_run_dir, tmp_path, field, val
         assert f"bad manifest: {message}" in proc.stderr
 
 
+NOT_JSON = [b"not json\n", b"\xff\xfe[]"]  # a syntax error; bytes that are not UTF-8
+
+
+@pytest.mark.parametrize("content", NOT_JSON)
+def test_replay_of_a_manifest_that_is_not_json_names_it(capsys, tmp_path, content):
+    bad = tmp_path / "manifest.json"
+    bad.write_bytes(content)
+    out = tmp_path / "replayed"
+    code, _, err = run_main(capsys, "pipeline", "--replay", str(bad), "--out", str(out))
+    assert code == EXIT_INVALID
+    assert err.count("\n") == 1
+    assert err.startswith(f"mms: error: {bad}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", NOT_JSON)
+def test_export_csv_beside_a_manifest_that_is_not_json_names_it(
+    cli_run_dir, capsys, tmp_path, content
+):
+    for name in ("merged.jsonl", "merged.jsonl.idx"):
+        (tmp_path / name).write_bytes(Path(cli_run_dir, name).read_bytes())
+    bad = tmp_path / "manifest.json"
+    bad.write_bytes(content)
+    code, _, err = run_main(
+        capsys, "export", "--store", str(tmp_path / "merged.jsonl"), "--format", "csv",
+        "--out", str(tmp_path / "stats.csv"),
+    )
+    assert code == EXIT_INVALID
+    assert err.count("\n") == 1
+    assert err.startswith(f"mms: error: {bad}: ")
+
+
 def test_pipeline_refuses_bad_mms_workers_before_writing(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MMS_WORKERS", "abc")
     out = tmp_path / "D"
@@ -604,6 +636,20 @@ def test_check_sos_terms_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["question"] == "sonc_simplex_is_sos"
     assert payload["verdict"] is False
+
+
+@pytest.mark.parametrize("content", [b'[{"beta": "1,1",}]\n', b"\xff\xfe[]", b"{}"])
+def test_check_sos_bad_terms_file_names_it(capsys, tmp_path, content):
+    # a syntax error, bytes that are not UTF-8, and JSON that is not a list
+    terms = tmp_path / "terms.json"
+    terms.write_bytes(content)
+    code, out, err = run_main(
+        capsys, "check-sos", "--delta", "0,0;2,4;4,2", "--terms", str(terms)
+    )
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"mms: error: {terms}: ")
 
 
 def test_check_sos_hypothesis_violation(capsys, tmp_path):

@@ -59,16 +59,17 @@ def test_enumeration_counts(n, two_d, expected):
     assert sum(1 for _ in enumerate_simplices(n, two_d)) == expected
 
 
-@pytest.mark.parametrize("n, two_d", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("n, two_d", [(1, 6), (2, 6), (3, 4), (4, 4), (5, 4)])
 def test_enumeration_matches_brute_force(n, two_d):
+    # n = 1: the walk's first level is its last
     rows = vertex_list(n, two_d)
     origin = (0,) * n
-    brute = {
+    brute = sorted(
         tuple(sorted((origin,) + combo))
         for combo in itertools.combinations(rows, n)
         if linear_rank(combo) == n
-    }
-    got = {s.points for s in enumerate_simplices(n, two_d)}
+    )
+    got = [s.points for s in enumerate_simplices(n, two_d)]
     assert got == brute
 
 
@@ -117,8 +118,9 @@ def test_walk_yields_the_hnf_of_each_vertex_matrix(n, two_d):
     rows = vertex_list(n, two_d)
     walked = 0
     for p in range(len(rows)):
-        for idx, cols in _iter_full_rank_sets(rows, n, p):
-            assert idx[0] == p
-            assert transpose(cols) == hnf(transpose(tuple(rows[i] for i in idx)))
+        for pts, cols in _iter_full_rank_sets(rows, n, p):
+            assert pts[0] == (0,) * n
+            assert pts[1] == rows[p]
+            assert transpose(cols) == hnf(transpose(pts[1:]))
             walked += 1
     assert walked == sum(1 for _ in enumerate_simplices(n, two_d))
