@@ -61,7 +61,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="root directory for run artifacts")
     ap.add_argument("--rows", nargs="*", choices=sorted(REFERENCE), default=None)
-    ap.add_argument("--extended", action="store_true", help="include the 7x4 row (~minutes)")
+    ap.add_argument("--extended", action="store_true", help="include the 7x4 row (seconds)")
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
     rows = args.rows

@@ -137,12 +137,12 @@ def _iter_input_deltas(args):
     if args.delta is not None:
         yield SimplicialSet.parse(args.delta)
         return
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(args.infile, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 payload = json.loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("a record must be a JSON object")

@@ -14,13 +14,37 @@ yielded as its vertex tuple, which is its ``SimplicialSet.points``,
 together with the HNF of its vertex matrix, the census's lattice key
 input.  The stack holds only the current path, so the walk streams in
 bounded memory.
+
+The orderly walk.  S_n permutes coordinates, so it permutes the vertex
+list and acts on row sets.  Given the shape's :func:`orbit_codes`, the
+walk visits only the row sets that are lex-least in their orbit and
+yields each with its orbit size and the greatest vertex tuple of its
+orbit.  Every prefix of such a set is lex-least in its own orbit (adding
+rows can only lower a set's order statistics), so a prefix that is not is
+pruned with its whole subtree.  Permuting coordinates multiplies the
+vertex matrix on the left by a permutation matrix (and, once the vertices
+are sorted again, on the right by another), so the simplices of an orbit
+share their lattice key, though not always their HNF.  So per key, the
+orbit sizes of the yielded sets sum to the plain walk's count, the least
+yielded set is the key's least simplex (it is least in its orbit, so it
+is walked), and the greatest over the yielded orbits is its greatest
+simplex.  Without the codes the walk is the plain walk, which yields
+every simplex with orbit size 1 and itself as its greatest.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .geometry import Point, SimplicialSet, _hnf_column, _nonneg_ball
+
+# the largest orbit_codes table in 64-bit words (16 MiB), n! * m * words for
+# m rows; it also bounds each node's batch of candidate codes
+ORBIT_WORDS = 1 << 21
 
 
 def check_shape(n: int, two_d: int) -> None:
@@ -43,23 +67,107 @@ def vertex_list(n: int, two_d: int) -> tuple[Point, ...]:
     return tuple(tuple(2 * c for c in q) for q in map(tuple, half.tolist()) if any(q))
 
 
+@lru_cache(maxsize=8)
+def orbit_codes(n: int, two_d: int) -> np.ndarray | None:
+    """The rows of ``vertex_list(n, 2d)`` under the n! coordinate
+    permutations, identity first, as one-row set codes: entry [s, i] codes
+    row i permuted by the s-th permutation.  A set of row indices is coded
+    in ceil(m / 64) uint64 words, index i setting bit 63 - i % 64 of word
+    i // 64, so a set's code is the OR of its rows' codes, and of two sets
+    of one size the one with the greater code (words compared in order) is
+    lex-less.  Built once per process per shape; None when the table,
+    n! * m * words, would exceed ORBIT_WORDS, and the census walks every
+    simplex."""
+    rows = vertex_list(n, two_d)
+    m, words = len(rows), -(-len(rows) // 64)
+    if math.factorial(n) * m * words > ORBIT_WORDS:
+        return None
+    arr = np.array(rows, dtype=np.int64)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # coordinates are at most 2d, so base 2d + 1 keeps the lex order
+    weights = (two_d + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    images = np.searchsorted(arr @ weights, arr[:, perms] @ weights).T
+    codes = np.zeros(images.shape + (words,), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (63 - images % 64).astype(np.uint64))
+    np.put_along_axis(codes, (images // 64)[..., None], bits[..., None], axis=2)
+    return codes
+
+
+def _least_in_orbit(table: np.ndarray, prefix: np.ndarray, lo: int, hi: int):
+    """The candidates c in lo..hi-1 whose set, a prefix plus row c, is
+    lex-least in its orbit, and the codes of those sets under every
+    permutation, shape (n!, kept, words).  ``table`` is the shape's
+    :func:`orbit_codes` and ``prefix`` the prefix's codes, (n!, words)."""
+    img = prefix[:, None, :] | table[:, lo:hi]
+    ident = img[0]
+    # img[s, j] > ident[j], word by word from the last: a lex-less image
+    greater = img[..., -1] > ident[:, -1]
+    for w in range(img.shape[2] - 2, -1, -1):
+        a, b = img[..., w], ident[:, w]
+        greater = (a > b) | ((a == b) & greater)
+    keep = ~greater.any(axis=0)
+    return np.arange(lo, hi)[keep], img[:, keep]
+
+
+def _orbit_leaves(img: np.ndarray, n: int):
+    """Per n-row set with codes ``img`` (n!, sets, words): its orbit size and
+    the row indices of its orbit's lex-greatest set, the image with the
+    least code."""
+    sizes = len(img) // (img == img[0]).all(axis=2).sum(axis=0)
+    least = np.ones(img.shape[:2], dtype=bool)
+    for w in range(img.shape[2]):
+        v = np.where(least, img[..., w], np.iinfo(np.uint64).max)
+        least &= v == v.min(axis=0)
+    top = img[least.argmax(axis=0), np.arange(img.shape[1])]
+    # big-endian bytes unpacked: column i is the bit of row index i
+    bits = np.unpackbits(top.astype(">u8").view(np.uint8), axis=1)
+    return zip(sizes.tolist(), np.nonzero(bits)[1].reshape(-1, n).tolist())
+
+
 def _iter_full_rank_sets(
-    rows: Sequence[Point], n: int, partition: int | None = None
-) -> Iterator[tuple[tuple[Point, ...], tuple[Point, ...]]]:
-    """Yield, in lex order, ``(vertices, HNF columns)`` for every strictly
-    increasing n-tuple of rows that are linearly independent.  ``vertices``
-    is the simplex's ``SimplicialSet.points``: the origin, then those rows,
-    already sorted since the rows are lex-sorted and nonzero.
-    The HNF columns are the columns of ``canon.hnf`` of the n x n matrix
-    whose columns are those rows.  With partition set, only tuples whose
-    first row is ``rows[partition]``."""
+    rows: Sequence[Point],
+    n: int,
+    partition: int | None = None,
+    orbits: np.ndarray | None = None,
+) -> Iterator[tuple[tuple[Point, ...], tuple[Point, ...], int, tuple[Point, ...]]]:
+    """Yield, in lex order, ``(vertices, HNF columns, orbit size, greatest)``
+    for every strictly increasing n-tuple of rows that are linearly
+    independent.  ``vertices`` is the simplex's ``SimplicialSet.points``:
+    the origin, then those rows, already sorted since the rows are
+    lex-sorted and nonzero.  The HNF columns are the columns of
+    ``canon.hnf`` of the n x n matrix whose columns are those rows.  With
+    partition set, only tuples whose first row is ``rows[partition]``.
+
+    With ``orbits``, the shape's :func:`orbit_codes`, only the tuples that
+    are lex-least in their coordinate-permutation orbit, each with its orbit
+    size and its orbit's greatest vertex tuple; without, every tuple, with 1
+    and itself.  Each node tests its candidates in one numpy batch of
+    n! * candidates * words 64-bit codes, at most ORBIT_WORDS since there
+    are at most m candidates, and keeps the survivors' codes, so the path
+    holds at most n of those."""
     m = len(rows)
+    origin = (0,) * n
     # (coordinate, value) of each row's nonzero entries: at most d of them
     support = [tuple((j, c) for j, c in enumerate(row) if c) for row in rows]
-    first = range(m - n + 1) if partition is None else range(partition, partition + 1)
+
+    def candidates(prefix, lo: int, hi: int, depth: int) -> Iterator:
+        """(row index, what its set needs next) for the rows lo..hi-1 after
+        a prefix of ``depth`` rows with codes ``prefix``: the set's codes
+        below the last level, else (orbit size, row indices of its orbit's
+        greatest set, or None for the set itself)."""
+        if orbits is None:
+            return zip(range(lo, hi), itertools.repeat(None if depth < n - 1 else (1, None)))
+        cs, img = _least_in_orbit(orbits, prefix, lo, hi)
+        if depth < n - 1:
+            return zip(cs.tolist(), img.transpose(1, 0, 2))
+        return zip(cs.tolist(), _orbit_leaves(img, n))
+
+    lo, hi = (0, m - n + 1) if partition is None else (partition, partition + 1)
+    root = None if orbits is None else np.zeros((len(orbits), orbits.shape[2]), np.uint64)
     # one entry per chosen row, plus the root: (candidates left, vertices so
     # far, the prefix's HNF columns, U as rows with H = U * prefix)
-    stack = [(iter(first), ((0,) * n,), (), [[int(i == j) for j in range(n)] for i in range(n)])]
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    stack = [(candidates(root, lo, hi, 0), (origin,), (), ident)]
     while stack:
         cands, pts, cols, u = stack[-1]
         depth = len(cols)
@@ -67,7 +175,7 @@ def _iter_full_rank_sets(
             # the last column: only row n-1 lies below the pivots, so its
             # step is p = |w_(n-1)| and w_i mod p above it
             head, last = u[:-1], u[-1]
-            for c in cands:
+            for c, (size, top) in cands:
                 nz = support[c]
                 p = 0
                 for j, x in nz:
@@ -81,10 +189,12 @@ def _iter_full_rank_sets(
                             y += ui[j] * x
                         col.append(y % p)
                     col.append(p)
-                    yield pts + (rows[c],), cols + (tuple(col),)
+                    leaf = pts + (rows[c],)
+                    greatest = leaf if top is None else (origin, *map(rows.__getitem__, top))
+                    yield leaf, cols + (tuple(col),), size, greatest
             stack.pop()
             continue
-        for c in cands:
+        for c, code in cands:
             nz = support[c]
             w = []
             for ui in u:
@@ -96,7 +206,7 @@ def _iter_full_rank_sets(
                 # rows[c] is independent of the prefix: one column step on [w | U]
                 step = [[wi] + ui for wi, ui in zip(w, u)]
                 _hnf_column(step, depth, 0)
-                later = iter(range(c + 1, m - n + depth + 2))
+                later = candidates(code, c + 1, m - n + depth + 2, depth + 1)
                 col = tuple(row[0] for row in step)
                 stack.append((later, pts + (rows[c],), cols + (col,), [row[1:] for row in step]))
                 break
@@ -113,5 +223,5 @@ def enumerate_simplices(
     rows = vertex_list(n, two_d)
     if partition is not None and not (0 <= partition < len(rows)):
         raise ValueError(f"partition {partition} out of range")
-    for pts, _ in _iter_full_rank_sets(rows, n, partition):
+    for pts, *_ in _iter_full_rank_sets(rows, n, partition):
         yield SimplicialSet(pts)

@@ -6,7 +6,11 @@ Phase 1: each task walks its partition or samples its block, keys each
 simplex as a :class:`mms.store.ShardLine`, and hands the lines to a
 :class:`mms.store.Shard`, which groups them by canonical key and combines
 each key's lines: the multiplicity and the least and the greatest vertex
-tuple.  It writes one shard line per key and computes no MMS.
+tuple.  It writes one shard line per key and computes no MMS.  A census
+task runs the orderly walk of :mod:`mms.enumeration`: it walks only the
+vertex tuples least in their coordinate-permutation orbit, each standing
+for its orbit (its size counted, its greatest tuple a member), so only
+the partitions whose first row is ascending get a task.
 Phase 2: :func:`mms.store.merge` groups and combines each key's lines
 across shards the same way and streams members to
 :func:`_invariants_for`, the one function that turns a member into its
@@ -21,8 +25,12 @@ Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling, and the merge keeps
 the least of the least members, so the merged representative is the
 tuple-minimal simplex of its class over the whole run (every simplex
-enumerated, or every sample drawn), however the work was distributed.  The
-counts are written in key order whatever order the workers finish in.
+enumerated, or every sample drawn), however the work was distributed.  A
+census multiplicity is a sum of orbit sizes, which counts every simplex of
+the class, and the least simplex of a class is least in its orbit, so the
+walk reaches it: the merged records are those of a walk over every
+simplex.  The counts are written in key order whatever order the workers
+finish in.
 Canonical keys resolve through the orbit table in :mod:`mms.canon`.
 """
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Iterable
 from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
 from .engine import Classification, compute_mms
-from .enumeration import _iter_full_rank_sets, check_shape, vertex_list
+from .enumeration import _iter_full_rank_sets, check_shape, orbit_codes, vertex_list
 from .geometry import Point, SimplicialSet
 from .sampler import SamplerConfig, sample_simplex
 from .store import (
@@ -143,17 +151,19 @@ def _aggregate_to_shard(lines: Iterable[ShardLine], shard_path: str) -> str:
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
     rows = vertex_list(n, two_d)
-    # HNF columns -> [count, least vertex tuple, greatest vertex tuple]; the
-    # walk runs in lex order, so the first simplex of each HNF is its least
-    # and the last its greatest
+    # HNF columns -> [count, least vertex tuple, greatest vertex tuple]: each
+    # set the orderly walk yields stands for its orbit, which lies in one
+    # lattice class; the walk runs in lex order, so the first set of each
+    # HNF is its least, and the greatest is the greatest over their orbits
     by_hnf: dict[tuple[Point, ...], list] = {}
-    for pts, cols in _iter_full_rank_sets(rows, n, partition):
+    for pts, cols, size, top in _iter_full_rank_sets(rows, n, partition, orbit_codes(n, two_d)):
         ent = by_hnf.get(cols)
         if ent is None:
-            by_hnf[cols] = [1, pts, pts]
+            by_hnf[cols] = [size, pts, top]
         else:
-            ent[0] += 1
-            ent[2] = pts
+            ent[0] += size
+            if top > ent[2]:
+                ent[2] = top
     lines = [
         ShardLine(_key_of_hnf(transpose(cols)), least, greatest, count)
         for cols, (count, least, greatest) in by_hnf.items()
@@ -237,8 +247,14 @@ def run_pipeline(
         with (nullcontext() if serial else multiprocessing.Pool(processes=workers)) as pool:
             if mode == "full":
                 task_fn, label = _enum_task, "partitions"
-                parts = range(0, max(0, len(vertex_list(n, two_d)) - n + 1))
-                task_args = [(n, two_d, p, shard_path(p)) for p in parts]
+                rows = vertex_list(n, two_d)
+                # a set least in its orbit starts at an ascending row
+                orderly = orbit_codes(n, two_d) is not None
+                task_args = [
+                    (n, two_d, p, shard_path(p))
+                    for p, row in enumerate(rows[: max(0, len(rows) - n + 1)])
+                    if not orderly or list(row) == sorted(row)
+                ]
             else:
                 assert seed is not None and count is not None
                 task_fn, label = _sample_task, "sample blocks"

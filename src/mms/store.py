@@ -243,12 +243,12 @@ def _read_lines(path: str, parse: Callable[[str], Any]) -> Iterator[Any]:
     last_key: str | None = None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = parse(line)
-            except ValueError as exc:
+            except ValueError as exc:  # malformed, or not UTF-8
                 raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
             if last_key is not None and rec.key <= last_key:
                 raise StoreFormatError(f"{path}:{lineno}: keys out of order")
@@ -363,16 +363,16 @@ class Store:
         if not os.path.exists(idx_path):
             return cls(path, sum(1 for _ in _read_lines(path, MmsRecord.from_json)))
         size, last = 0, None
-        with open(idx_path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
+        with open(idx_path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
                 try:
+                    line = raw.decode("utf-8").rstrip("\n")
+                    if not line:
+                        continue
                     _, off = line.rsplit("\t", 1)
                     last = int(off)
-                except ValueError as exc:
-                    raise StoreFormatError(f"{idx_path}:{lineno}: bad index line") from exc
+                except ValueError as exc:  # malformed, or not UTF-8
+                    raise StoreFormatError(f"{idx_path}:{lineno}: bad index line: {exc}") from exc
                 size += 1
         _check_index_end(path, idx_path, last)
         return cls(path, size)

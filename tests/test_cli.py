@@ -527,6 +527,35 @@ def test_stats_refuses_store_shorter_than_its_index(capsys, tmp_path):
     assert err.startswith(f"mms: error: {store}: ")
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("input", ":2: bad input line: 'utf-8' codec can't decode byte 0xff"),
+        ("store", ":1: bad record: 'utf-8' codec can't decode byte 0xff"),
+        ("index", ":1: bad index line: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["input", "store", "index"],
+)
+def test_file_that_is_not_utf8_is_named_with_its_line(cli_run_dir, capsys, tmp_path, target, message):
+    store = tmp_path / "merged.jsonl"
+    for name in ("merged.jsonl", "merged.jsonl.idx"):
+        (tmp_path / name).write_bytes(Path(cli_run_dir, name).read_bytes())
+    if target == "input":
+        bad = tmp_path / "in.jsonl"
+        bad.write_bytes(b'{"delta":"0,0;2,4;4,2"}\n\xff\n')
+        argv = ["mms", "--in", str(bad)]
+    else:
+        # one byte overwritten, so the file keeps its length
+        bad = store if target == "store" else tmp_path / "merged.jsonl.idx"
+        data = bytearray(bad.read_bytes())
+        data[3] = 0xFF
+        bad.write_bytes(bytes(data))
+        argv = ["stats", "--store", str(store)]
+    code, _, err = run_main(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert err.startswith(f"mms: error: {bad}{message}") and err.count("\n") == 1
+
+
 def test_stats_missing_store_is_io_error(capsys, tmp_path):
     code, _, err = run_main(
         capsys, "stats", "--store", str(tmp_path / "absent.jsonl")

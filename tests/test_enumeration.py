@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mms.canon import hnf, transpose
-from mms.enumeration import _iter_full_rank_sets, enumerate_simplices, vertex_list
+from mms.canon import _key_of_hnf, hnf, transpose
+from mms.enumeration import (
+    ORBIT_WORDS,
+    _iter_full_rank_sets,
+    enumerate_simplices,
+    orbit_codes,
+    vertex_list,
+)
 from mms.geometry import SimplicialSet, is_even_point, linear_rank, one_norm
 
 
@@ -115,12 +121,92 @@ def test_enumeration_is_strictly_lex_ordered(n, two_d):
 
 @pytest.mark.parametrize("n, two_d", [(2, 16), (3, 6), (4, 4)])
 def test_walk_yields_the_hnf_of_each_vertex_matrix(n, two_d):
+    # the plain walk, then the orderly one, whose orbit sizes sum to the same
     rows = vertex_list(n, two_d)
-    walked = 0
-    for p in range(len(rows)):
-        for pts, cols in _iter_full_rank_sets(rows, n, p):
-            assert pts[0] == (0,) * n
-            assert pts[1] == rows[p]
-            assert transpose(cols) == hnf(transpose(pts[1:]))
-            walked += 1
-    assert walked == sum(1 for _ in enumerate_simplices(n, two_d))
+    for codes in (None, orbit_codes(n, two_d)):
+        walked = 0
+        for p in range(len(rows)):
+            for pts, cols, size, greatest in _iter_full_rank_sets(rows, n, p, codes):
+                assert pts[0] == (0,) * n
+                assert pts[1] == rows[p]
+                assert transpose(cols) == hnf(transpose(pts[1:]))
+                walked += size
+                if codes is None:
+                    assert (size, greatest) == (1, pts)
+        assert walked == sum(1 for _ in enumerate_simplices(n, two_d))
+
+
+@pytest.mark.parametrize("n, two_d", [(3, 6), (2, 20)])  # 19 rows in one word, 65 in two
+def test_orbit_codes_code_each_row_by_its_permuted_row(n, two_d):
+    rows = vertex_list(n, two_d)
+    codes = orbit_codes(n, two_d)
+    words = -(-len(rows) // 64)
+    assert codes.shape == (math.factorial(n), len(rows), words)
+    # the identity first; row j sets bit 63 - j % 64 of word j // 64
+    for s, perm in enumerate(itertools.permutations(range(n))):
+        for i, row in enumerate(rows):
+            j = rows.index(tuple(row[k] for k in perm))
+            expected = [0] * words
+            expected[j // 64] = 1 << (63 - j % 64)
+            assert codes[s, i].tolist() == expected
+    assert orbit_codes(n, two_d) is codes  # built once per shape
+
+
+def test_orbit_codes_are_refused_past_their_word_bound():
+    # 8x4 fits (8! * 44 rows * 1 word); 9x4 does not, and nothing is allocated
+    assert math.factorial(8) * len(vertex_list(8, 4)) <= ORBIT_WORDS
+    assert math.factorial(9) * len(vertex_list(9, 4)) > ORBIT_WORDS
+    assert orbit_codes(9, 4) is None
+
+
+def _orbit(pts):
+    """Every vertex tuple that a coordinate permutation makes of ``pts``."""
+    return {
+        tuple(sorted(tuple(p[j] for j in perm) for p in pts))
+        for perm in itertools.permutations(range(len(pts[0])))
+    }
+
+
+@pytest.mark.parametrize("n, two_d", [(2, 8), (3, 4), (3, 6), (4, 4)])
+def test_orderly_walk_yields_each_orbit_once_by_its_least_member(n, two_d):
+    # brute force: the least member of every orbit of full-rank sets, with
+    # the orbit's size and greatest member, in lex order
+    expected = {}
+    for delta in enumerate_simplices(n, two_d):
+        orbit = _orbit(delta.points)
+        expected[min(orbit)] = (len(orbit), max(orbit))
+    rows = vertex_list(n, two_d)
+    got = [
+        (pts, (size, greatest))
+        for pts, _, size, greatest in _iter_full_rank_sets(rows, n, None, orbit_codes(n, two_d))
+    ]
+    assert got == sorted(expected.items())
+
+
+def _by_key(walk):
+    """Key -> (count, least, greatest) of a walk: the orbit sizes summed,
+    the least set and the greatest of the orbits' greatest members; the key
+    is computed once per HNF."""
+    by_hnf = {}
+    for pts, cols, size, greatest in walk:
+        count, least, top = by_hnf.get(cols, (0, pts, greatest))
+        by_hnf[cols] = (count + size, min(least, pts), max(top, greatest))
+    by_key = {}
+    for cols, (count, least, top) in by_hnf.items():
+        key = _key_of_hnf(transpose(cols))
+        total, lo, hi = by_key.get(key, (0, least, top))
+        by_key[key] = (total + count, min(lo, least), max(hi, top))
+    return by_key
+
+
+@pytest.mark.parametrize("n, two_d", [(2, 16), (3, 6), (3, 10), (4, 4), (5, 4), (6, 4)])
+def test_orderly_walk_gives_each_key_the_plain_walks_count_and_members(n, two_d):
+    # the plain walk is the oracle.  One HNF does not do: the sets of an
+    # orbit share a key, but their column orders and so their HNFs differ
+    rows = vertex_list(n, two_d)
+    codes = orbit_codes(n, two_d)
+    ascending = [p for p, row in enumerate(rows) if list(row) == sorted(row)]
+    orderly = itertools.chain.from_iterable(
+        _iter_full_rank_sets(rows, n, p, codes) for p in ascending
+    )
+    assert _by_key(orderly) == _by_key(_iter_full_rank_sets(rows, n))

@@ -1,5 +1,6 @@
 """Pipeline orchestration: artifacts, determinism, replay, dichotomy check."""
 
+import heapq
 import json
 import os
 from fractions import Fraction
@@ -7,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from mms import __version__, pipeline, store
-from mms.canon import canonical_key, hnf
+from mms.canon import canonical_key
 from mms.engine import compute_mms
-from mms.enumeration import enumerate_simplices, vertex_list
+from mms.enumeration import enumerate_simplices
 from mms.geometry import SimplicialSet
 from mms.pipeline import (
     SAMPLE_BLOCK,
@@ -18,7 +19,7 @@ from mms.pipeline import (
     replay,
     run_pipeline,
 )
-from mms.store import AUDIT_STRIDE, ShardLine, _combine, _read_lines
+from mms.store import AUDIT_STRIDE, ShardLine, _by_key, _combined, _read_lines
 
 
 def read_bytes(path):
@@ -38,9 +39,9 @@ def test_full_run_writes_all_artifacts(full_run):
     for name in ("manifest.json", "merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
         assert os.path.exists(os.path.join(out, name))
     shards = sorted(os.listdir(os.path.join(out, "shards")))
-    # 9 candidate vertices at 2d=6, so 9 - 2 + 1 partitions
-    assert shards[0] == "shard-00000.jsonl"
-    assert len(shards) == 8
+    # 9 candidate vertices at 2d=6, so 9 - 2 + 1 partitions, and a task for
+    # each of the 5 whose first row is ascending: (0,2) (0,4) (0,6) (2,2) (2,4)
+    assert shards == [f"shard-{p:05d}.jsonl" for p in (0, 1, 2, 4, 5)]
 
 
 def test_full_run_stats(full_run):
@@ -75,7 +76,7 @@ def test_full_run_manifest(full_run):
     assert manifest.finished_at is not None
     assert manifest.tool_version == __version__
     assert manifest.shard_paths == sorted(manifest.shard_paths)
-    assert len(manifest.shard_paths) == 8
+    assert len(manifest.shard_paths) == 5
 
 
 def test_full_run_stats_files(full_run):
@@ -97,31 +98,20 @@ def test_merged_representatives_are_tuple_minima(tmp_path):
     # at 2x16 many classes span several partitions, so the merge chooses
     # between shard minima and must keep the least vertex tuple too
     run_pipeline(2, 16, "full", 1, str(tmp_path))
-    least = {}
+    recount = {}  # key -> (least, greatest, count) over every simplex
     for delta in enumerate_simplices(2, 16):
         key = canonical_key(delta).key_text
-        if key not in least or delta.points < least[key].points:
-            least[key] = delta
+        least, greatest, count = recount.get(key, (delta.points, delta.points, 0))
+        recount[key] = (min(least, delta.points), max(greatest, delta.points), count + 1)
     with open(tmp_path / "merged.jsonl") as fh:
         stored = {rec["key"]: rec["representative"] for rec in map(json.loads, fh)}
-    assert stored == {key: str(delta) for key, delta in least.items()}
-    # a task may meet one key through several HNFs; its shard holds, per
-    # key, the line that _combine gives for the lines of those HNFs
-    met_twice = 0
-    for part in range(len(vertex_list(2, 16)) - 1):
-        by_hnf = {}  # HNF -> (key, least, greatest, count) within the partition
-        for delta in enumerate_simplices(2, 16, part):
-            h = hnf(tuple(zip(*delta.points[1:])))
-            key, lo, hi, count = by_hnf.get(h, (canonical_key(delta).key_text, delta.points, (), 0))
-            by_hnf[h] = (key, min(lo, delta.points), max(hi, delta.points), count + 1)
-        by_key = {}
-        for key, lo, hi, count in by_hnf.values():
-            by_key.setdefault(key, []).append(ShardLine(key, lo, hi, count))
-        met_twice += sum(len(lines) > 1 for lines in by_key.values())
-        shard = tmp_path / "shards" / f"shard-{part:05d}.jsonl"
-        written = list(_read_lines(str(shard), ShardLine.from_json))
-        assert written == [_combine(by_key[key]) for key in sorted(by_key)]
-    assert met_twice > 0
+    assert stored == {key: str(SimplicialSet(least)) for key, (least, _, _) in recount.items()}
+    # the tasks walk only sets least in their orbit, so a shard holds other
+    # lines than a plain walk of its partition; combined across shards they
+    # must give each key the plain walk's least, greatest and count
+    shards = sorted(str(path) for path in (tmp_path / "shards").iterdir())
+    lines = heapq.merge(*(_read_lines(path, ShardLine.from_json) for path in shards), key=_by_key)
+    assert {line.key: line[1:] for line in _combined(lines)} == recount
 
 
 def test_worker_count_does_not_change_outputs(full_run, tmp_path):
@@ -130,6 +120,19 @@ def test_worker_count_does_not_change_outputs(full_run, tmp_path):
     run_pipeline(2, 6, "full", 2, out)
     for name in ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
         assert read_bytes(os.path.join(out, name)) == read_bytes(os.path.join(base, name))
+
+
+def test_uneven_census_tasks_give_the_same_bytes_at_one_and_two_workers(tmp_path):
+    # 6x4 has 3 tasks, one of them holding most of the walked sets
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        sim, lat = run_pipeline(6, 4, "full", workers, str(out))
+        runs.append(out)
+    assert (sim.total_count, lat.total_count) == (72450, 14)
+    assert len(os.listdir(runs[0] / "shards")) == 3
+    for name in ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
+        assert read_bytes(runs[1] / name) == read_bytes(runs[0] / name)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
