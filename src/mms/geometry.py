@@ -4,9 +4,10 @@ Points are plain tuples of ints; hull scans return lex-sorted int64 arrays.
 Everything here is exact integer arithmetic, with no floats and no Fraction
 left, and it rests on one integer core: the Hermite normal form column step
 (:func:`_hnf_column`) is the only row elimination.  :func:`linear_rank`,
-``canon.hnf``, the enumeration walk and the affine frame all run it.  At
-the walk's last level only row n-1 lies below the pivots, so
-``enumeration._iter_full_rank_sets`` computes that step inline instead:
+``canon.hnf``, the enumeration walk and the affine frame all run it, and
+``canon._hnf_stack`` runs it on a numpy stack of matrices at once for the
+orbit keys.  At the walk's last level only row n-1 lies below the pivots,
+so ``enumeration._iter_full_rank_sets`` computes that step inline instead:
 p = |w_(n-1)| and w_i mod p, where w = U v is the candidate vertex v in the
 prefix's frame.  One integer affine frame (:func:`_affine_frame`: one HNF
 pass over the edges, then back substitution on its triangular block)

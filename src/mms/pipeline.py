@@ -31,7 +31,9 @@ the class, and the least simplex of a class is least in its orbit, so the
 walk reaches it: the merged records are those of a walk over every
 simplex.  The counts are written in key order whatever order the workers
 finish in.
-Canonical keys resolve through the orbit table in :mod:`mms.canon`.
+Canonical keys resolve through the orbit table in :mod:`mms.canon`: each
+task hands it all its HNFs in one call, so the orbits of the task's new
+classes are computed in batches.
 """
 from __future__ import annotations
 
@@ -164,19 +166,20 @@ def _enum_task(args: tuple) -> str:
             ent[0] += size
             if top > ent[2]:
                 ent[2] = top
+    keys = _key_of_hnf([transpose(cols) for cols in by_hnf])
     lines = [
-        ShardLine(_key_of_hnf(transpose(cols)), least, greatest, count)
-        for cols, (count, least, greatest) in by_hnf.items()
+        ShardLine(key.key_text, least, greatest, count)
+        for key, (count, least, greatest) in zip(keys, by_hnf.values())
     ]
     return _aggregate_to_shard(lines, shard_path)
 
 
 def _sample_task(args: tuple) -> str:
     n, two_d, seed, lo, hi, shard_path = args
-    lines = []
-    for index in range(lo, hi):
-        points = sample_simplex(n, two_d, seed, index).points  # origin is the lex-min point
-        lines.append(ShardLine(_key_of_hnf(hnf(tuple(zip(*points[1:])))), points, points, 1))
+    # the origin is each sample's lex-min point
+    samples = [sample_simplex(n, two_d, seed, index).points for index in range(lo, hi)]
+    keys = _key_of_hnf([hnf(tuple(zip(*points[1:]))) for points in samples])
+    lines = [ShardLine(key.key_text, points, points, 1) for key, points in zip(keys, samples)]
     return _aggregate_to_shard(lines, shard_path)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given
@@ -6,8 +7,10 @@ from hypothesis import strategies as st
 
 from strategies import _leibniz_det, mapped, small_simplices
 
+from mms import canon
 from mms.canon import (
     CanonicalLatticeKey,
+    _key_of_hnf,
     canonical_key,
     canonical_key_of_matrix,
     generator_matrix,
@@ -17,7 +20,9 @@ from mms.canon import (
     transpose,
     _text_order,
 )
+from mms.enumeration import _iter_full_rank_sets, orbit_codes, vertex_list
 from mms.geometry import SimplicialSet
+from mms.sampler import sample_simplex
 
 MOTZKIN = SimplicialSet.parse("0,0;2,4;4,2")
 LATTICE_TWIN = SimplicialSet.parse("0,0;2,0;4,6")
@@ -51,7 +56,110 @@ def test_hnf_goldens(mat, expected):
 
 def test_hnf_orbit_motzkin_collapses():
     # both column orders reduce to the same normal form here
-    assert hnf_orbit(generator_matrix(MOTZKIN)) == [((2, 4), (0, 6))]
+    assert hnf_orbit([generator_matrix(MOTZKIN)]) == [{((2, 4), (0, 6))}]
+
+
+def orbit_oracle(m):
+    """The distinct HNFs of every column order of m, one ``hnf`` call each."""
+    return {
+        hnf(tuple(tuple(row[p] for p in perm) for row in m))
+        for perm in itertools.permutations(range(len(m)))
+    }
+
+
+def seeded_matrices(n, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n))
+        if any(hnf(m)[-1]):
+            out.append(m)
+    return out
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty orbit table, and the size of every stack the kernel runs."""
+    monkeypatch.setattr(canon, "_orbit_keys", {})
+    stacks = []
+    real = canon._hnf_stack
+    monkeypatch.setattr(canon, "_hnf_stack", lambda a, bound: stacks.append(len(a)) or real(a, bound))
+    return stacks
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_hnf_orbit_equals_the_per_order_oracle_on_seeded_matrices(n):
+    ms = seeded_matrices(n, 3 if n < 7 else 1, seed=n)
+    assert hnf_orbit(ms) == [orbit_oracle(m) for m in ms]
+
+
+@pytest.mark.parametrize("n, classes", [(6, 14), (7, 19)])
+def test_orbit_table_of_every_census_class_equals_the_oracle(fresh_table, n, classes):
+    rows = vertex_list(n, 4)
+    walk = _iter_full_rank_sets(rows, n, None, orbit_codes(n, 4))
+    keys = _key_of_hnf(list({transpose(cols) for _, cols, _, _ in walk}))
+    assert len(set(keys)) == classes
+    for key in set(keys):
+        orbit = orbit_oracle(key.hnf)
+        assert {h for h, k in canon._orbit_keys.items() if k == key} == orbit
+        assert key.key_text == min(map(serialize_matrix, orbit))
+    assert max(fresh_table) <= canon.ORBIT_BATCH
+
+
+def test_hnf_orbit_equals_the_oracle_on_seeded_8x4_samples():
+    ms = [hnf(generator_matrix(sample_simplex(8, 4, 3, i))) for i in range(3)]
+    assert hnf_orbit(ms) == [orbit_oracle(m) for m in ms]
+
+
+# two HNFs of one class: ((2, 0), (2, 6)) with its columns swapped
+TWINS = (((2, 0), (0, 6)), ((6, 0), (0, 2)))
+
+
+def test_one_batch_keys_two_hnfs_of_one_class(fresh_table, monkeypatch):
+    batches = []
+    real = canon.hnf_orbit
+    monkeypatch.setattr(canon, "hnf_orbit", lambda ms: batches.append(list(ms)) or real(ms))
+    first, second = _key_of_hnf(list(TWINS))
+    assert batches == [list(TWINS)]
+    assert first == second and first.key_text == "2x2w1:2,0;0,6"
+    assert canon._orbit_keys == dict.fromkeys(TWINS, first)
+    # both matrices of the batch get the whole orbit
+    assert real(list(TWINS)) == [set(TWINS), set(TWINS)]
+
+
+def test_a_chunk_boundary_between_two_hnfs_of_one_class(fresh_table, monkeypatch):
+    # one orbit per batch at n = 2: the second HNF is a hit by its turn
+    monkeypatch.setattr(canon, "ORBIT_BATCH", 2)
+    batches = []
+    real = canon.hnf_orbit
+    monkeypatch.setattr(canon, "hnf_orbit", lambda ms: batches.append(list(ms)) or real(ms))
+    first, second = _key_of_hnf(list(TWINS))
+    assert batches == [[TWINS[0]]]
+    assert first == second and first.key_text == "2x2w1:2,0;0,6"
+
+
+@pytest.mark.parametrize("limit, n, count", [(5, 3, 4), (100, 4, 12), (2048, 4, 200)])
+def test_every_stack_holds_at_most_orbit_batch_matrices(fresh_table, monkeypatch, limit, n, count):
+    # at limit 5 the 6 column orders of n = 3 run in chunks of 5 and 1
+    monkeypatch.setattr(canon, "ORBIT_BATCH", limit)
+    hs = [hnf(generator_matrix(sample_simplex(n, 16, 5, i))) for i in range(count)]
+    keys = _key_of_hnf(hs)
+    assert fresh_table and max(fresh_table) <= limit
+    for h, key in zip(hs, keys):
+        assert key.key_text == min(map(serialize_matrix, orbit_oracle(h)))
+
+
+def test_object_path_keys_entries_past_int64():
+    delta = SimplicialSet.parse("0,0;2,0;0,2000000000000000000000")
+    assert canonical_key(delta).key_text == "2x2w22:" + ";".join(
+        ["0000000000000000000002,0000000000000000000000", "0000000000000000000000,2000000000000000000000"]
+    )
+
+
+def test_a_stack_moves_to_python_ints_before_int64_overflows():
+    # entries below 2^62, but 5 * 2^61 in the first column step is not
+    m = ((1, 2**61), (5, 2**61 + 7))
+    assert hnf_orbit([m]) == [orbit_oracle(m)]
 
 
 def test_serialize_matrix_format():
@@ -212,11 +320,7 @@ def test_canonical_key_invariant_under_even_translation(delta):
 def reference_key(delta):
     """Least serialized HNF over every column order of the generator matrix,
     computed here without the library's orbit table."""
-    g = generator_matrix(delta)
-    return min(
-        serialize_matrix(hnf(tuple(tuple(row[p] for p in perm) for row in g)))
-        for perm in itertools.permutations(range(len(g)))
-    )
+    return min(map(serialize_matrix, orbit_oracle(generator_matrix(delta))))
 
 
 @given(small_simplices(full_dim_only=True), st.data())

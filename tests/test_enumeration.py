@@ -192,8 +192,8 @@ def _by_key(walk):
         count, least, top = by_hnf.get(cols, (0, pts, greatest))
         by_hnf[cols] = (count + size, min(least, pts), max(top, greatest))
     by_key = {}
-    for cols, (count, least, top) in by_hnf.items():
-        key = _key_of_hnf(transpose(cols))
+    keys = _key_of_hnf([transpose(cols) for cols in by_hnf])
+    for key, (count, least, top) in zip(keys, by_hnf.values()):
         total, lo, hi = by_key.get(key, (0, least, top))
         by_key[key] = (total + count, min(lo, least), max(hi, top))
     return by_key
