@@ -31,7 +31,7 @@ from .sos import (
     sonc_simplex_is_sos,
     sos_bound_is_exact,
 )
-from .store import Store, atomic_open, export, json_field, stats, stats_json
+from .store import Store, atomic_open, export, json_field, numbered_lines, stats, stats_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -137,18 +137,16 @@ def _iter_input_deltas(args):
     if args.delta is not None:
         yield SimplicialSet.parse(args.delta)
         return
-    with open(args.infile, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("a record must be a JSON object")
-                yield SimplicialSet.parse(json_field(payload, "delta"))
-            except ValueError as exc:
-                raise ValueError(f"{args.infile}:{lineno}: bad input line: {exc}") from exc
+    for _, delta in numbered_lines(args.infile, _input_delta, "bad input line", ValueError):
+        yield delta
+
+
+def _input_delta(line: str) -> SimplicialSet:
+    """The simplex of one ``--in`` line, a JSON object with a "delta" field."""
+    payload = json.loads(line)
+    if not isinstance(payload, dict):
+        raise ValueError("a record must be a JSON object")
+    return SimplicialSet.parse(json_field(payload, "delta"))
 
 
 def _cmd_mms(args) -> int:

@@ -2,15 +2,19 @@
 compute MMS per lattice class, and summarize.
 
 A run has two phases, in one pool of workers (or none at ``workers=1``).
-Phase 1: each task walks its partition or samples its block, keys each
-simplex as a :class:`mms.store.ShardLine`, and hands the lines to a
+Phase 1: each task walks its partition or samples its block and hands
+its items, each a member (vertex tuple), its HNF, the greatest member it
+stands for and its count, to :func:`_aggregate_to_shard`, the one tail of
+both task kinds.  The tail keys every item's HNF in one call, makes each
+item a :class:`mms.store.ShardLine` and hands the lines to a
 :class:`mms.store.Shard`, which groups them by canonical key and combines
-each key's lines: the multiplicity and the least and the greatest vertex
-tuple.  It writes one shard line per key and computes no MMS.  A census
-task runs the orderly walk of :mod:`mms.enumeration`: it walks only the
-vertex tuples least in their coordinate-permutation orbit, each standing
-for its orbit (its size counted, its greatest tuple a member), so only
-the partitions whose first row is ascending get a task.
+each key's lines with ``store._combine``, the only combine: the summed
+count and the least and the greatest vertex tuple.  It writes one shard
+line per key and computes no MMS.  A census task runs the orderly walk of
+:mod:`mms.enumeration`: it walks only the vertex tuples least in their
+coordinate-permutation orbit, each an item standing for its orbit (its
+size counted, its greatest tuple a member), so only the partitions whose
+first row is ascending get a task.  A sample is an item of count 1.
 Phase 2: :func:`mms.store.merge` groups and combines each key's lines
 across shards the same way and streams members to
 :func:`_invariants_for`, the one function that turns a member into its
@@ -31,9 +35,9 @@ the class, and the least simplex of a class is least in its orbit, so the
 walk reaches it: the merged records are those of a walk over every
 simplex.  The counts are written in key order whatever order the workers
 finish in.
-Canonical keys resolve through the orbit table in :mod:`mms.canon`: each
-task hands it all its HNFs in one call, so the orbits of the task's new
-classes are computed in batches.
+Canonical keys resolve through the orbit table in :mod:`mms.canon`: the
+tail hands it all of a task's HNFs in one call, so the orbits of the
+task's new classes are computed in batches.
 """
 from __future__ import annotations
 
@@ -47,7 +51,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from typing import Iterable
 
 from . import __version__
 from .canon import _key_of_hnf, hnf, transpose
@@ -143,44 +146,37 @@ def _invariants_for(member: tuple[Point, ...]) -> Counts:
     return result.mms_size, result.conv_count, result.floor_count
 
 
-def _aggregate_to_shard(lines: Iterable[ShardLine], shard_path: str) -> str:
-    """Phase 1: write a task's lines to ``shard_path`` as a :class:`Shard`,
-    one combined line per key; no MMS is computed here."""
-    Shard(lines).write(shard_path)
+def _aggregate_to_shard(items: list[tuple], shard_path: str) -> str:
+    """Phase 1, the one tail of both task kinds: write a task's ``items``,
+    each ``(member, HNF rows, greatest member, count)``, to ``shard_path``.
+    Every item's HNF is keyed in one :func:`_key_of_hnf` call, so the
+    orbits of the task's new classes are computed in batches; each item
+    becomes one :class:`ShardLine`, and the :class:`Shard` combines the
+    lines of each key (:func:`mms.store._combine`).  No MMS is computed
+    here.  A task's items are held at once: a census task holds its walked
+    sets (at most 155 at ``6x4`` and 523 at ``3x10``, 222 and 3,721 over
+    all tasks), and in the plain walk, which shapes past
+    ``enumeration.ORBIT_WORDS`` fall back to (n = 2 from 2d = 254 on; the
+    n >= 3 shapes past it take days), every simplex of its partition."""
+    keys = _key_of_hnf([h for _, h, _, _ in items])
+    Shard(ShardLine(k.key_text, m, g, c) for k, (m, _, g, c) in zip(keys, items)).write(shard_path)
     return shard_path
 
 
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
-    rows = vertex_list(n, two_d)
-    # HNF columns -> [count, least vertex tuple, greatest vertex tuple]: each
-    # set the orderly walk yields stands for its orbit, which lies in one
-    # lattice class; the walk runs in lex order, so the first set of each
-    # HNF is its least, and the greatest is the greatest over their orbits
-    by_hnf: dict[tuple[Point, ...], list] = {}
-    for pts, cols, size, top in _iter_full_rank_sets(rows, n, partition, orbit_codes(n, two_d)):
-        ent = by_hnf.get(cols)
-        if ent is None:
-            by_hnf[cols] = [size, pts, top]
-        else:
-            ent[0] += size
-            if top > ent[2]:
-                ent[2] = top
-    keys = _key_of_hnf([transpose(cols) for cols in by_hnf])
-    lines = [
-        ShardLine(key.key_text, least, greatest, count)
-        for key, (count, least, greatest) in zip(keys, by_hnf.values())
-    ]
-    return _aggregate_to_shard(lines, shard_path)
+    walk = _iter_full_rank_sets(vertex_list(n, two_d), n, partition, orbit_codes(n, two_d))
+    # each walked set stands for its orbit, which lies in one lattice class
+    items = [(pts, transpose(cols), top, size) for pts, cols, size, top in walk]
+    return _aggregate_to_shard(items, shard_path)
 
 
 def _sample_task(args: tuple) -> str:
     n, two_d, seed, lo, hi, shard_path = args
     # the origin is each sample's lex-min point
-    samples = [sample_simplex(n, two_d, seed, index).points for index in range(lo, hi)]
-    keys = _key_of_hnf([hnf(tuple(zip(*points[1:]))) for points in samples])
-    lines = [ShardLine(key.key_text, points, points, 1) for key, points in zip(keys, samples)]
-    return _aggregate_to_shard(lines, shard_path)
+    samples = (sample_simplex(n, two_d, seed, index).points for index in range(lo, hi))
+    items = [(points, hnf(tuple(zip(*points[1:]))), points, 1) for points in samples]
+    return _aggregate_to_shard(items, shard_path)
 
 
 def default_workers() -> int:

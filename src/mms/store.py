@@ -4,7 +4,9 @@ export.
 
 One line per canonical lattice key, in strictly increasing key order: the
 one reader, :func:`_read_lines`, streams a shard or store from start to end
-and refuses a key that is not greater than the key before it.
+and refuses a key that is not greater than the key before it.  It reads
+through :func:`numbered_lines`, the one line reader, which the ``.idx``
+check of :meth:`Store.open` and ``mms mms --in`` use too.
 
 A shard line (:class:`ShardLine`) is what one task saw of a class: the key,
 the least and the greatest member (vertex tuples, origin included) and the
@@ -235,25 +237,44 @@ def _combined(lines: Iterable[ShardLine]) -> Iterator[ShardLine]:
     return (_combine(list(group)) for _, group in itertools.groupby(lines, key=_by_key))
 
 
-def _read_lines(path: str, parse: Callable[[str], Any]) -> Iterator[Any]:
-    """The lines of a shard (``ShardLine.from_json``) or store
-    (``MmsRecord.from_json``) in file order, skipping blank lines.
-    StoreFormatError naming path and line when a line is malformed or its
-    key is not greater than the key before it."""
-    last_key: str | None = None
+def numbered_lines(
+    path: str, parse: Callable[[str], Any], what: str, error: type[Exception] = StoreFormatError
+) -> Iterator[tuple[int, Any]]:
+    """``(line number, parse(line))`` for each non-blank line of ``path``,
+    stripped, in file order: the one line reader of shards, stores, ``.idx``
+    sidecars and ``mms mms --in`` files.  ``error`` (StoreFormatError
+    unless the caller names another type) reads "<path>:<line>: <what>:
+    <cause>" when a line is not UTF-8 or ``parse`` raises ValueError."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                rec = parse(line)
+                item = parse(line)
             except ValueError as exc:  # malformed, or not UTF-8
-                raise StoreFormatError(f"{path}:{lineno}: bad record: {exc}") from exc
-            if last_key is not None and rec.key <= last_key:
-                raise StoreFormatError(f"{path}:{lineno}: keys out of order")
-            last_key = rec.key
-            yield rec
+                raise error(f"{path}:{lineno}: {what}: {exc}") from exc
+            yield lineno, item
+
+
+def _read_lines(path: str, parse: Callable[[str], Any]) -> Iterator[Any]:
+    """The lines of a shard (``ShardLine.from_json``) or store
+    (``MmsRecord.from_json``) in file order, skipping blank lines.
+    StoreFormatError naming path and line when a line is malformed or its
+    key is not greater than the key before it."""
+    last_key: str | None = None
+    for lineno, rec in numbered_lines(path, parse, "bad record"):
+        if last_key is not None and rec.key <= last_key:
+            raise StoreFormatError(f"{path}:{lineno}: keys out of order")
+        last_key = rec.key
+        yield rec
+
+
+def _index_offset(line: str) -> int:
+    """The offset of a ``.idx`` line: the key is everything before its last
+    tab, and a line without a tab is a ValueError."""
+    _, off = line.rsplit("\t", 1)
+    return int(off)
 
 
 Counts = tuple[int, int, int]
@@ -363,17 +384,8 @@ class Store:
         if not os.path.exists(idx_path):
             return cls(path, sum(1 for _ in _read_lines(path, MmsRecord.from_json)))
         size, last = 0, None
-        with open(idx_path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8").rstrip("\n")
-                    if not line:
-                        continue
-                    _, off = line.rsplit("\t", 1)
-                    last = int(off)
-                except ValueError as exc:  # malformed, or not UTF-8
-                    raise StoreFormatError(f"{idx_path}:{lineno}: bad index line: {exc}") from exc
-                size += 1
+        for _, last in numbered_lines(idx_path, _index_offset, "bad index line"):
+            size += 1
         _check_index_end(path, idx_path, last)
         return cls(path, size)
 

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from mms import __version__, pipeline, store
-from mms.canon import canonical_key
+from mms import __version__, enumeration, pipeline, store
+from mms.canon import canonical_key, generator_matrix, hnf
 from mms.engine import compute_mms
-from mms.enumeration import enumerate_simplices
+from mms.enumeration import enumerate_simplices, orbit_codes
 from mms.geometry import SimplicialSet
 from mms.pipeline import (
     SAMPLE_BLOCK,
@@ -133,6 +133,38 @@ def test_uneven_census_tasks_give_the_same_bytes_at_one_and_two_workers(tmp_path
     assert len(os.listdir(runs[0] / "shards")) == 3
     for name in ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
         assert read_bytes(runs[1] / name) == read_bytes(runs[0] / name)
+
+
+def test_the_plain_walk_fallback_gives_the_orderly_runs_bytes(monkeypatch, tmp_path):
+    # past ORBIT_WORDS a census task walks every simplex of its partition,
+    # and every partition gets a task: 43 at 2x16 against 24 ascending ones
+    run_pipeline(2, 16, "full", 1, str(tmp_path / "orderly"))
+    orbit_codes.cache_clear()
+    monkeypatch.setattr(enumeration, "ORBIT_WORDS", 0)
+    try:
+        run_pipeline(2, 16, "full", 1, str(tmp_path / "plain"))
+    finally:
+        orbit_codes.cache_clear()
+    assert len(os.listdir(tmp_path / "orderly" / "shards")) == 24
+    assert len(os.listdir(tmp_path / "plain" / "shards")) == 43
+    for name in ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
+        assert read_bytes(tmp_path / "plain" / name) == read_bytes(tmp_path / "orderly" / name)
+
+
+def test_the_tail_writes_one_combined_line_per_class(monkeypatch, tmp_path):
+    # a and c share an HNF; b, a with its coordinates swapped, has another
+    a, b, c = ((0, 0), (0, 6), (2, 0)), ((0, 0), (0, 2), (6, 0)), ((0, 0), (0, 6), (2, 6))
+    hnfs = [hnf(generator_matrix(SimplicialSet(m))) for m in (a, b, c)]
+    assert hnfs[0] == hnfs[2] != hnfs[1]
+    calls = []
+    real = pipeline._key_of_hnf
+    monkeypatch.setattr(pipeline, "_key_of_hnf", lambda hs: calls.append(hs) or real(hs))
+    path = str(tmp_path / "shard.jsonl")
+    items = [(a, hnfs[0], a, 1), (b, hnfs[1], b, 2), (c, hnfs[2], c, 4)]
+    assert pipeline._aggregate_to_shard(items, path) == path
+    assert calls == [hnfs]
+    key = canonical_key(SimplicialSet(a)).key_text
+    assert list(_read_lines(path, ShardLine.from_json)) == [ShardLine(key, b, c, 7)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
