@@ -137,7 +137,7 @@ def _iter_input_deltas(args):
     if args.delta is not None:
         yield SimplicialSet.parse(args.delta)
         return
-    for _, delta in numbered_lines(args.infile, _input_delta, "bad input line", ValueError):
+    for _, delta in numbered_lines(args.infile, _input_delta, "bad input line"):
         yield delta
 
 

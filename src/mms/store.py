@@ -59,7 +59,9 @@ PROGRESS_CLASSES = 10_000  # the merge prints a progress line per this many clas
 
 
 class StoreFormatError(ValueError):
-    """Malformed shard/store content; message carries path and line."""
+    """Malformed content of a line file that :func:`numbered_lines` reads (a
+    shard, a store, its ``.idx`` sidecar, an ``mms mms --in`` file); the
+    message carries path and line."""
 
 
 class StoreAuditError(AssertionError):
@@ -237,14 +239,12 @@ def _combined(lines: Iterable[ShardLine]) -> Iterator[ShardLine]:
     return (_combine(list(group)) for _, group in itertools.groupby(lines, key=_by_key))
 
 
-def numbered_lines(
-    path: str, parse: Callable[[str], Any], what: str, error: type[Exception] = StoreFormatError
-) -> Iterator[tuple[int, Any]]:
+def numbered_lines(path: str, parse: Callable[[str], Any], what: str) -> Iterator[tuple[int, Any]]:
     """``(line number, parse(line))`` for each non-blank line of ``path``,
     stripped, in file order: the one line reader of shards, stores, ``.idx``
-    sidecars and ``mms mms --in`` files.  ``error`` (StoreFormatError
-    unless the caller names another type) reads "<path>:<line>: <what>:
-    <cause>" when a line is not UTF-8 or ``parse`` raises ValueError."""
+    sidecars and ``mms mms --in`` files.  StoreFormatError reading
+    "<path>:<line>: <what>: <cause>" when a line is not UTF-8 or ``parse``
+    raises ValueError."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -253,7 +253,7 @@ def numbered_lines(
                     continue
                 item = parse(line)
             except ValueError as exc:  # malformed, or not UTF-8
-                raise error(f"{path}:{lineno}: {what}: {exc}") from exc
+                raise StoreFormatError(f"{path}:{lineno}: {what}: {exc}") from exc
             yield lineno, item
 
 

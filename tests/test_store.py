@@ -440,6 +440,21 @@ def test_store_open_refuses_index_that_does_not_end_with_its_file(tmp_path, edit
         Store.open(out)
 
 
+def test_store_open_skips_blank_index_lines_and_refuses_one_without_a_tab(tmp_path):
+    # .idx lines are read like store lines: a whitespace-only line is blank
+    out = str(tmp_path / "m.jsonl")
+    merge(golden_shard_paths(tmp_path), out, serial_counts)
+    with open(out + ".idx") as fh:
+        lines = fh.readlines()
+    with open(out + ".idx", "w") as fh:
+        fh.writelines([lines[0], " \t \n", lines[1], "\n", *lines[2:]])
+    assert len(Store.open(out)) == 3
+    with open(out + ".idx", "w") as fh:
+        fh.writelines([lines[0], "no-tab-0\n", *lines[1:]])
+    with pytest.raises(StoreFormatError, match=f"{out}.idx:2: bad index line: "):
+        Store.open(out)
+
+
 def test_store_open_refuses_empty_index_of_nonempty_file(tmp_path):
     out = str(tmp_path / "m.jsonl")
     merge(golden_shard_paths(tmp_path), out, serial_counts)
