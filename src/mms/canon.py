@@ -6,13 +6,15 @@ simplex change that matrix by left multiplication (same row span) and vertex
 reordering permutes columns, so the canonical key is the minimal HNF over
 all column permutations.
 
-The HNF is row-style, one ``geometry._hnf_column`` step per column; the
-enumeration walk runs the same step and yields each simplex's HNF, so a
-census computes none here except in orbits.  Every key resolves through
-this module's per-process orbit table, which maps every HNF of each
-column-permutation orbit seen to its class key.  A caller hands
-:func:`_key_of_hnf` all its HNFs at once: the table answers those it
-holds, and the others' orbits are computed in batches (:func:`hnf_orbit`),
+The HNF is row-style.  One matrix goes through :func:`hnf`, one
+``geometry._hnf_column`` step per column; a stack of matrices goes through
+:func:`_hnf_stack`, the same step in numpy on all of them at once.  A
+pipeline task has the HNFs of all its members computed in such stacks
+(:func:`member_hnfs`).  Every key resolves through this module's
+per-process orbit table, which maps every HNF of each column-permutation
+orbit seen to its class key.  A caller hands :func:`_key_of_hnf` all its
+HNFs at once: the table answers those it holds, and the others' orbits
+are computed in batches (:func:`hnf_orbit`),
 each orbit keyed by its least member in key text order (a ``min``, with no
 member formatted).  A batch stacks the column-permuted copies of its
 matrices into one (B, n, n) array and brings all of them to HNF at once
@@ -33,18 +35,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _INT64_SAFE, SimplicialSet, _hnf_pivots
+from .geometry import _INT64_SAFE, Point, SimplicialSet, _hnf_pivots
 
 Matrix = tuple[tuple[int, ...], ...]
 
-# the most matrices one stack of hnf_orbit holds
+# the most matrices one stack of hnf_orbit or member_hnfs holds
 ORBIT_BATCH = 1 << 11
-
-
-def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
-    return tuple(zip(*m))
 
 
 def generator_matrix(delta: SimplicialSet) -> Matrix:
@@ -157,6 +153,22 @@ def _hnf_stack(a: np.ndarray, bound: int) -> np.ndarray:
         a[neg, j, j:] = -a[neg, j, j:]
         subtract(slice(0, j), j)
     return a
+
+
+def member_hnfs(members: Sequence[tuple[Point, ...]]) -> list[Matrix]:
+    """:func:`hnf` of the :func:`generator_matrix` of each of ``members``,
+    the vertex tuples of full-dimensional simplices of one n, each with the
+    origin first; brought to HNF by :func:`_hnf_stack` in stacks of at most
+    ``ORBIT_BATCH`` matrices."""
+    hs: list[Matrix] = []
+    for i in range(0, len(members), ORBIT_BATCH):
+        # a generator matrix's columns are the vertices after the origin
+        ms = [m[1:] for m in members[i : i + ORBIT_BATCH]]
+        bound = max(abs(e) for m in ms for v in m for e in v)
+        stack = np.array(ms, dtype=object if bound >= _INT64_SAFE else np.int64)
+        out = _hnf_stack(stack.transpose(0, 2, 1), bound)
+        hs.extend(tuple(map(tuple, h)) for h in out.tolist())
+    return hs
 
 
 def _column_orders(n: int, size: int):

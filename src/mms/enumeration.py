@@ -5,15 +5,15 @@ The walk picks n rows of the lex-ordered vertex list in lex order, with
 exact integer rank pruning: once a prefix of rows is rank-deficient, every
 simplex extending it is skipped.  It keeps a stack with one entry for the
 root and one per chosen row: the candidates left (an iterator over the
-row indices that may come next), the vertices so far (origin first), the
-prefix's Hermite normal form columns H (one ``geometry._hnf_column`` step
-per row taken) and the unimodular U with H = U * prefix.  A candidate v is
+row indices that may come next), the vertices so far (origin first) and
+the unimodular U that brings the prefix to Hermite normal form (one
+``geometry._hnf_column`` step per row taken).  A candidate v is
 independent iff U v is nonzero at or below row ``depth``; an independent
-one pushes an entry, an exhausted iterator pops one.  Each simplex is
-yielded as its vertex tuple, which is its ``SimplicialSet.points``,
-together with the HNF of its vertex matrix, the census's lattice key
-input.  The stack holds only the current path, so the walk streams in
-bounded memory.
+one pushes an entry, an exhausted iterator pops one.  At the last level
+only row n-1 lies below the pivots, so a candidate there is only tested.
+Each simplex is yielded as its vertex tuple, which is its
+``SimplicialSet.points``.  The stack holds only the current path, so the
+walk streams in bounded memory.
 
 The orderly walk.  S_n permutes coordinates, so it permutes the vertex
 list and acts on row sets.  Given the shape's :func:`orbit_codes`, the
@@ -129,14 +129,13 @@ def _iter_full_rank_sets(
     n: int,
     partition: int | None = None,
     orbits: np.ndarray | None = None,
-) -> Iterator[tuple[tuple[Point, ...], tuple[Point, ...], int, tuple[Point, ...]]]:
-    """Yield, in lex order, ``(vertices, HNF columns, orbit size, greatest)``
-    for every strictly increasing n-tuple of rows that are linearly
-    independent.  ``vertices`` is the simplex's ``SimplicialSet.points``:
-    the origin, then those rows, already sorted since the rows are
-    lex-sorted and nonzero.  The HNF columns are the columns of
-    ``canon.hnf`` of the n x n matrix whose columns are those rows.  With
-    partition set, only tuples whose first row is ``rows[partition]``.
+) -> Iterator[tuple[tuple[Point, ...], tuple[Point, ...], int]]:
+    """Yield, in lex order, ``(vertices, greatest, orbit size)`` for every
+    strictly increasing n-tuple of rows that are linearly independent.
+    ``vertices`` is the simplex's ``SimplicialSet.points``: the origin,
+    then those rows, already sorted since the rows are lex-sorted and
+    nonzero.  With partition set, only tuples whose first row is
+    ``rows[partition]``.
 
     With ``orbits``, the shape's :func:`orbit_codes`, only the tuples that
     are lex-least in their coordinate-permutation orbit, each with its orbit
@@ -165,33 +164,23 @@ def _iter_full_rank_sets(
     lo, hi = (0, m - n + 1) if partition is None else (partition, partition + 1)
     root = None if orbits is None else np.zeros((len(orbits), orbits.shape[2]), np.uint64)
     # one entry per chosen row, plus the root: (candidates left, vertices so
-    # far, the prefix's HNF columns, U as rows with H = U * prefix)
+    # far, U as rows, bringing the prefix to HNF)
     ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    stack = [(candidates(root, lo, hi, 0), (origin,), (), ident)]
+    stack = [(candidates(root, lo, hi, 0), (origin,), ident)]
     while stack:
-        cands, pts, cols, u = stack[-1]
-        depth = len(cols)
+        cands, pts, u = stack[-1]
+        depth = len(pts) - 1
         if depth == n - 1:
-            # the last column: only row n-1 lies below the pivots, so its
-            # step is p = |w_(n-1)| and w_i mod p above it
-            head, last = u[:-1], u[-1]
+            # the last row: only row n-1 of U v lies below the pivots
+            last = u[-1]
             for c, (size, top) in cands:
-                nz = support[c]
                 p = 0
-                for j, x in nz:
+                for j, x in support[c]:
                     p += last[j] * x
                 if p:
-                    p = abs(p)
-                    col = []
-                    for ui in head:
-                        y = 0
-                        for j, x in nz:
-                            y += ui[j] * x
-                        col.append(y % p)
-                    col.append(p)
                     leaf = pts + (rows[c],)
                     greatest = leaf if top is None else (origin, *map(rows.__getitem__, top))
-                    yield leaf, cols + (tuple(col),), size, greatest
+                    yield leaf, greatest, size
             stack.pop()
             continue
         for c, code in cands:
@@ -207,8 +196,7 @@ def _iter_full_rank_sets(
                 step = [[wi] + ui for wi, ui in zip(w, u)]
                 _hnf_column(step, depth, 0)
                 later = candidates(code, c + 1, m - n + depth + 2, depth + 1)
-                col = tuple(row[0] for row in step)
-                stack.append((later, pts + (rows[c],), cols + (col,), [row[1:] for row in step]))
+                stack.append((later, pts + (rows[c],), [row[1:] for row in step]))
                 break
         else:
             stack.pop()

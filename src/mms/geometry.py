@@ -3,16 +3,15 @@
 Points are plain tuples of ints; hull scans return lex-sorted int64 arrays.
 Everything here is exact integer arithmetic, with no floats and no Fraction
 left, and it rests on one integer core: the Hermite normal form column step
-(:func:`_hnf_column`).  :func:`linear_rank`, ``canon.hnf``, the enumeration
-walk and the affine frame all run it.  Two other codes compute the same
-step.  ``canon._hnf_stack`` is a second implementation of it, in numpy, on
-a stack of matrices at once for the orbit keys; the oracle test
+(:func:`_hnf_column`).  It has two implementations, each with one job.
+The Python :func:`_hnf_column` works on one matrix at a time:
+:func:`linear_rank`, ``canon.hnf``, the affine frame and the enumeration
+walk's unimodular U run it.  ``canon._hnf_stack`` runs the same step in
+numpy on a stack of matrices at once, for the orbit keys and for the HNFs
+of a pipeline task's members; the oracle test
 ``test_hnf_orbit_equals_the_per_order_oracle_on_seeded_matrices`` in
 ``tests/test_canon.py`` checks it against ``canon.hnf`` of every column
-order.  And at the walk's last level only row n-1 lies below the pivots, so
-``enumeration._iter_full_rank_sets`` computes that step inline: p =
-|w_(n-1)| and w_i mod p, where w = U v is the candidate vertex v in the
-prefix's frame.  One integer affine frame (:func:`_affine_frame`: one HNF
+order.  One integer affine frame (:func:`_affine_frame`: one HNF
 pass over the edges, then back substitution on its triangular block)
 decides membership for simplices of every dimension, in the hull scan and
 in the point test :func:`strictly_interior` alike.

@@ -3,10 +3,12 @@ compute MMS per lattice class, and summarize.
 
 A run has two phases, in one pool of workers (or none at ``workers=1``).
 Phase 1: each task walks its partition or samples its block and hands
-its items, each a member (vertex tuple), its HNF, the greatest member it
-stands for and its count, to :func:`_aggregate_to_shard`, the one tail of
-both task kinds.  The tail keys every item's HNF in one call, makes each
-item a :class:`mms.store.ShardLine` and hands the lines to a
+its items, each a member (vertex tuple), the greatest member it stands for
+and its count, to :func:`_aggregate_to_shard`, the one tail of both task
+kinds.  The tail brings every member's generator matrix to HNF in one
+stacked call (``canon.member_hnfs``) and keys all those HNFs in one
+``canon._key_of_hnf`` call, makes each item a
+:class:`mms.store.ShardLine` and hands the lines to a
 :class:`mms.store.Shard`, which groups them by canonical key and combines
 each key's lines with ``store._combine``, the only combine: the summed
 count and the least and the greatest vertex tuple.  It writes one shard
@@ -36,8 +38,8 @@ walk reaches it: the merged records are those of a walk over every
 simplex.  The counts are written in key order whatever order the workers
 finish in.
 Canonical keys resolve through the orbit table in :mod:`mms.canon`: the
-tail hands it all of a task's HNFs in one call, so the orbits of the
-task's new classes are computed in batches.
+tail hands it all of a task's member HNFs in one call, so the orbits of
+the task's new classes are computed in batches.
 """
 from __future__ import annotations
 
@@ -51,9 +53,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from typing import Iterable
 
 from . import __version__
-from .canon import _key_of_hnf, hnf, transpose
+from .canon import _key_of_hnf, member_hnfs
 from .engine import Classification, compute_mms
 from .enumeration import _iter_full_rank_sets, check_shape, orbit_codes, vertex_list
 from .geometry import Point, SimplicialSet
@@ -146,37 +149,37 @@ def _invariants_for(member: tuple[Point, ...]) -> Counts:
     return result.mms_size, result.conv_count, result.floor_count
 
 
-def _aggregate_to_shard(items: list[tuple], shard_path: str) -> str:
+def _aggregate_to_shard(items: Iterable[tuple], shard_path: str) -> str:
     """Phase 1, the one tail of both task kinds: write a task's ``items``,
-    each ``(member, HNF rows, greatest member, count)``, to ``shard_path``.
-    Every item's HNF is keyed in one :func:`_key_of_hnf` call, so the
-    orbits of the task's new classes are computed in batches; each item
-    becomes one :class:`ShardLine`, and the :class:`Shard` combines the
-    lines of each key (:func:`mms.store._combine`).  No MMS is computed
-    here.  A task's items are held at once: a census task holds its walked
-    sets (at most 155 at ``6x4`` and 523 at ``3x10``, 222 and 3,721 over
-    all tasks), and in the plain walk, which shapes past
-    ``enumeration.ORBIT_WORDS`` fall back to (n = 2 from 2d = 254 on; the
-    n >= 3 shapes past it take days), every simplex of its partition."""
-    keys = _key_of_hnf([h for _, h, _, _ in items])
-    Shard(ShardLine(k.key_text, m, g, c) for k, (m, _, g, c) in zip(keys, items)).write(shard_path)
+    each ``(member, greatest member, count)``, to ``shard_path``.  The
+    members' HNFs come from one :func:`member_hnfs` call and are keyed in
+    one :func:`_key_of_hnf` call, so the orbits of the task's new classes
+    are computed in batches; each item becomes one :class:`ShardLine`, and
+    the :class:`Shard` combines the lines of each key
+    (:func:`mms.store._combine`).  No MMS is computed here.  A task's items
+    are held at once: a census task holds its walked sets (at most 155 at
+    ``6x4`` and 523 at ``3x10``, 222 and 3,721 over all tasks), and in the
+    plain walk, which shapes past ``enumeration.ORBIT_WORDS`` fall back to
+    (n = 2 from 2d = 254 on; the n >= 3 shapes past it take days), every
+    simplex of its partition."""
+    items = list(items)
+    keys = _key_of_hnf(member_hnfs([m for m, _, _ in items]))
+    Shard(ShardLine(k.key_text, m, g, c) for k, (m, g, c) in zip(keys, items)).write(shard_path)
     return shard_path
 
 
 def _enum_task(args: tuple) -> str:
     n, two_d, partition, shard_path = args
-    walk = _iter_full_rank_sets(vertex_list(n, two_d), n, partition, orbit_codes(n, two_d))
     # each walked set stands for its orbit, which lies in one lattice class
-    items = [(pts, transpose(cols), top, size) for pts, cols, size, top in walk]
-    return _aggregate_to_shard(items, shard_path)
+    walk = _iter_full_rank_sets(vertex_list(n, two_d), n, partition, orbit_codes(n, two_d))
+    return _aggregate_to_shard(walk, shard_path)
 
 
 def _sample_task(args: tuple) -> str:
     n, two_d, seed, lo, hi, shard_path = args
     # the origin is each sample's lex-min point
     samples = (sample_simplex(n, two_d, seed, index).points for index in range(lo, hi))
-    items = [(points, hnf(tuple(zip(*points[1:]))), points, 1) for points in samples]
-    return _aggregate_to_shard(items, shard_path)
+    return _aggregate_to_shard(((points, points, 1) for points in samples), shard_path)
 
 
 def default_workers() -> int:

@@ -42,6 +42,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ from .geometry import Point, SimplicialSet
 HISTOGRAM_BINS = 20
 AUDIT_STRIDE = 100  # every 100th merged record is recomputed from another member
 PROGRESS_CLASSES = 10_000  # the merge prints a progress line per this many classes
+MERGE_FANIN = 256  # the most shard or run files the merge reads at once
 
 
 class StoreFormatError(ValueError):
@@ -215,10 +217,16 @@ class Shard:
         self._lines = list(_combined(sorted(lines, key=_by_key)))
 
     def write(self, path: str) -> None:
-        with atomic_open(path) as fh:
-            for line in self._lines:
-                fh.write(json.dumps(line, separators=(",", ":")))
-                fh.write("\n")
+        _write_lines(path, self._lines)
+
+
+def _write_lines(path: str, lines: Iterable[ShardLine]) -> None:
+    """Write shard lines to ``path``, one JSON array a line: the one writer
+    of shards and of the merge's runs."""
+    with atomic_open(path) as fh:
+        for line in lines:
+            fh.write(json.dumps(line, separators=(",", ":")))
+            fh.write("\n")
 
 
 def _combine(lines: list[ShardLine]) -> ShardLine:
@@ -299,14 +307,18 @@ def merge(
     reads the members in its task-handler thread, so the FIFO is a
     thread-safe ``deque``.  A progress line goes to stderr after every
     PROGRESS_CLASSES-th class.
+
+    At most MERGE_FANIN files are open at once: while more paths remain,
+    each run of MERGE_FANIN consecutive ones is merged and combined into
+    one run file, in a temporary directory beside ``out_path`` that is
+    removed when the merge ends.  ``_combine`` is associative, so the
+    store does not change.
     """
-    lines = heapq.merge(
-        *(_read_lines(p, ShardLine.from_json) for p in sorted(shard_paths)), key=_by_key
-    )
+    paths = sorted(shard_paths)
     in_flight: deque[tuple[ShardLine, SimplicialSet | None]] = deque()
 
-    def members() -> Iterator[tuple[Point, ...]]:
-        for count, line in enumerate(_combined(lines)):
+    def members(lines: Iterable[ShardLine]) -> Iterator[tuple[Point, ...]]:
+        for count, line in enumerate(lines):
             audit = SimplicialSet.of(line.greatest) if count % AUDIT_STRIDE == 0 else None
             in_flight.append((line, audit))
             yield line.least
@@ -314,8 +326,18 @@ def merge(
                 yield audit.points
 
     offset = 0
-    with atomic_open(out_path) as out, atomic_open(out_path + ".idx") as idx:
-        results = counts_of(members())
+    with (
+        tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(out_path))) as runs,
+        atomic_open(out_path) as out,
+        atomic_open(out_path + ".idx") as idx,
+    ):
+        names = itertools.count()
+        while len(paths) > MERGE_FANIN:
+            groups = [paths[i : i + MERGE_FANIN] for i in range(0, len(paths), MERGE_FANIN)]
+            paths = [os.path.join(runs, f"run-{next(names)}.jsonl") for _ in groups]
+            for run, group in zip(paths, groups):
+                _write_lines(run, _merged_lines(group))
+        results = counts_of(members(_merged_lines(paths)))
         for done, counts in enumerate(results, start=1):
             line, audit = in_flight.popleft()
             rec = MmsRecord(line.key, str(SimplicialSet(line.least)), *counts, line.multiplicity)
@@ -328,6 +350,12 @@ def merge(
             if done % PROGRESS_CLASSES == 0:
                 print(f"[mms] classes: {done}", file=sys.stderr)
     return Store.open(out_path)
+
+
+def _merged_lines(paths: list[str]) -> Iterator[ShardLine]:
+    """One line per key, by :func:`_combine`, over the shard or run files
+    at ``paths``, all open at once."""
+    return _combined(heapq.merge(*(_read_lines(p, ShardLine.from_json) for p in paths), key=_by_key))
 
 
 def _audit_record(rec: MmsRecord, member: SimplicialSet, counts: Counts) -> None:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mms.canon import _key_of_hnf, hnf, transpose
+from mms import canon
+from mms.canon import _key_of_hnf, generator_matrix, hnf, member_hnfs
 from mms.enumeration import (
     ORBIT_WORDS,
     _iter_full_rank_sets,
@@ -120,20 +121,33 @@ def test_enumeration_is_strictly_lex_ordered(n, two_d):
 
 
 @pytest.mark.parametrize("n, two_d", [(2, 16), (3, 6), (4, 4)])
-def test_walk_yields_the_hnf_of_each_vertex_matrix(n, two_d):
+def test_member_hnfs_are_the_hnfs_of_the_walked_members(monkeypatch, n, two_d):
     # the plain walk, then the orderly one, whose orbit sizes sum to the same
     rows = vertex_list(n, two_d)
     for codes in (None, orbit_codes(n, two_d)):
-        walked = 0
+        members, walked = [], 0
         for p in range(len(rows)):
-            for pts, cols, size, greatest in _iter_full_rank_sets(rows, n, p, codes):
+            for pts, greatest, size in _iter_full_rank_sets(rows, n, p, codes):
                 assert pts[0] == (0,) * n
                 assert pts[1] == rows[p]
-                assert transpose(cols) == hnf(transpose(pts[1:]))
+                members.append(pts)
                 walked += size
                 if codes is None:
                     assert (size, greatest) == (1, pts)
         assert walked == sum(1 for _ in enumerate_simplices(n, two_d))
+        expected = [hnf(generator_matrix(SimplicialSet(pts))) for pts in members]
+        assert member_hnfs(members) == expected
+        # stacks of 3 matrices; one of the two lists ends in a partial stack
+        monkeypatch.setattr(canon, "ORBIT_BATCH", 3)
+        assert member_hnfs(members) == expected
+        assert member_hnfs(members[1:]) == expected[1:]
+        monkeypatch.undo()
+    assert member_hnfs([]) == []
+
+
+def test_member_hnfs_move_past_the_int64_bound_to_python_ints():
+    big = ((0, 0), (0, 2), (2**70, 2))
+    assert member_hnfs([big]) == [hnf(generator_matrix(SimplicialSet(big)))]
 
 
 @pytest.mark.parametrize("n, two_d", [(3, 6), (2, 20)])  # 19 rows in one word, 65 in two
@@ -178,24 +192,19 @@ def test_orderly_walk_yields_each_orbit_once_by_its_least_member(n, two_d):
     rows = vertex_list(n, two_d)
     got = [
         (pts, (size, greatest))
-        for pts, _, size, greatest in _iter_full_rank_sets(rows, n, None, orbit_codes(n, two_d))
+        for pts, greatest, size in _iter_full_rank_sets(rows, n, None, orbit_codes(n, two_d))
     ]
     assert got == sorted(expected.items())
 
 
 def _by_key(walk):
     """Key -> (count, least, greatest) of a walk: the orbit sizes summed,
-    the least set and the greatest of the orbits' greatest members; the key
-    is computed once per HNF."""
-    by_hnf = {}
-    for pts, cols, size, greatest in walk:
-        count, least, top = by_hnf.get(cols, (0, pts, greatest))
-        by_hnf[cols] = (count + size, min(least, pts), max(top, greatest))
+    the least set and the greatest of the orbits' greatest members."""
+    walk = list(walk)
     by_key = {}
-    keys = _key_of_hnf([transpose(cols) for cols in by_hnf])
-    for key, (count, least, top) in zip(keys, by_hnf.values()):
-        total, lo, hi = by_key.get(key, (0, least, top))
-        by_key[key] = (total + count, min(lo, least), max(hi, top))
+    for key, (pts, greatest, size) in zip(_key_of_hnf(member_hnfs([w[0] for w in walk])), walk):
+        count, least, top = by_key.get(key, (0, pts, greatest))
+        by_key[key] = (count + size, min(least, pts), max(top, greatest))
     return by_key
 
 

@@ -3,10 +3,14 @@
 import heapq
 import json
 import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import mms
 from mms import __version__, enumeration, pipeline, store
 from mms.canon import canonical_key, generator_matrix, hnf
 from mms.engine import compute_mms
@@ -160,11 +164,28 @@ def test_the_tail_writes_one_combined_line_per_class(monkeypatch, tmp_path):
     real = pipeline._key_of_hnf
     monkeypatch.setattr(pipeline, "_key_of_hnf", lambda hs: calls.append(hs) or real(hs))
     path = str(tmp_path / "shard.jsonl")
-    items = [(a, hnfs[0], a, 1), (b, hnfs[1], b, 2), (c, hnfs[2], c, 4)]
-    assert pipeline._aggregate_to_shard(items, path) == path
+    items = [(a, a, 1), (b, b, 2), (c, c, 4)]
+    assert pipeline._aggregate_to_shard(iter(items), path) == path
     assert calls == [hnfs]
     key = canonical_key(SimplicialSet(a)).key_text
     assert list(_read_lines(path, ShardLine.from_json)) == [ShardLine(key, b, c, 7)]
+
+
+@pytest.mark.parametrize("mode, seed, count, tasks", [("full", None, None, 6), ("sample", 3, 25, 3)])
+def test_each_task_makes_one_member_hnfs_call_and_one_key_call(
+    monkeypatch, tmp_path, mode, seed, count, tasks
+):
+    calls = []
+
+    def spy(name):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda xs: calls.append(name) or real(xs))
+
+    spy("member_hnfs")
+    spy("_key_of_hnf")
+    monkeypatch.setattr(pipeline, "SAMPLE_BLOCK", 10)
+    run_pipeline(3, 6, mode, 1, str(tmp_path), seed, count)
+    assert calls == ["member_hnfs", "_key_of_hnf"] * tasks
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -270,6 +291,47 @@ def test_pooled_sample_run_matches_serial(tmp_path):
     assert len(os.listdir(tmp_path / "w2" / "shards")) == 3
     for name in ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json"):
         assert read_bytes(tmp_path / "w2" / name) == read_bytes(tmp_path / "w1" / name)
+
+
+ARTIFACTS = ("merged.jsonl", "merged.jsonl.idx", "stats.csv", "stats.json")
+
+
+def test_the_merge_opens_at_most_merge_fanin_files(tmp_path):
+    # the deg-28 survey writes 63 shards; the child alone gets a soft limit
+    # of 48 open files, which a merge that opens every shard at once breaks
+    def limit_open_files():
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (48, hard))
+
+    code = (
+        "import sys\n"
+        "from mms import pipeline, store\n"
+        "store.MERGE_FANIN = 8\n"
+        "pipeline.check_conjecture(28, 1, sys.argv[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mms.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "limited")],
+        env=env,
+        preexec_fn=limit_open_files,
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    check_conjecture(28, 1, str(tmp_path / "free"))
+    assert len(os.listdir(tmp_path / "free" / "shards")) == 63
+    for name in ARTIFACTS:
+        assert read_bytes(tmp_path / "limited" / name) == read_bytes(tmp_path / "free" / name)
+
+
+def test_merging_in_rounds_of_two_gives_the_same_bytes(monkeypatch, tmp_path):
+    run_pipeline(2, 16, "full", 2, str(tmp_path / "once"))
+    monkeypatch.setattr(store, "MERGE_FANIN", 2)
+    run_pipeline(2, 16, "full", 2, str(tmp_path / "rounds"))
+    # 24 shards take four rounds of run files, and the run files are gone
+    assert sorted(os.listdir(tmp_path / "rounds")) == sorted(os.listdir(tmp_path / "once"))
+    for name in ARTIFACTS:
+        assert read_bytes(tmp_path / "rounds" / name) == read_bytes(tmp_path / "once" / name)
 
 
 def test_conjecture_check_small_degree():
