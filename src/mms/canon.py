@@ -8,8 +8,13 @@ all column permutations.
 
 The HNF is row-style.  One matrix goes through :func:`hnf`, one
 ``geometry._hnf_column`` step per column; a stack of matrices goes through
-:func:`_hnf_stack`, the same step in numpy on all of them at once.  A
-pipeline task has the HNFs of all its members computed in such stacks
+:func:`_hnf_stack`, the same step in numpy on all of them at once.  Inside
+this module an HNF keeps one form from the stack to the orbit table: its
+row-major entry tuple (``Entries``: entry (i, j) at i * n + j), a row of
+the stack's (B, n * n) view.  The nested ``Matrix`` form is only for the
+public side: :func:`hnf`, :func:`generator_matrix`,
+:func:`serialize_matrix` and ``CanonicalLatticeKey.hnf``.  A pipeline task
+has the HNFs of all its members computed in such stacks
 (:func:`member_hnfs`).  Every key resolves through this module's
 per-process orbit table, which maps every HNF of each column-permutation
 orbit seen to its class key.  A caller hands :func:`_key_of_hnf` all its
@@ -38,6 +43,8 @@ import numpy as np
 from .geometry import _INT64_SAFE, Point, SimplicialSet, _hnf_pivots
 
 Matrix = tuple[tuple[int, ...], ...]
+# an n x n matrix as its entries in row-major order, entry (i, j) at i * n + j
+Entries = tuple[int, ...]
 
 # the most matrices one stack of hnf_orbit or member_hnfs holds
 ORBIT_BATCH = 1 << 11
@@ -94,14 +101,14 @@ class CanonicalLatticeKey:
         return self.key_bytes.decode("ascii")
 
 
-def _text_order(h: Matrix) -> tuple[str, tuple[int, ...]]:
-    """Sort key of a matrix in the order of its :func:`serialize_matrix`
-    text, for matrices of one shape with non-negative entries: the text is
-    "RxCwW:" then the entries zero-padded to width W, so it sorts by "W:"
-    (the ":" puts width 10 before width 1, as "w10" sorts before "w1:")
-    and then by the entries in row-major order."""
-    width = len(str(max(e for row in h for e in row)))
-    return f"{width}:", tuple(e for row in h for e in row)
+def _text_order(h: Entries) -> tuple[str, Entries]:
+    """Sort key of a matrix, given by its row-major entries, in the order of
+    its :func:`serialize_matrix` text, for matrices of one shape with
+    non-negative entries: the text is "RxCwW:" then the entries zero-padded
+    to width W, so it sorts by "W:" (the ":" puts width 10 before width 1,
+    as "w10" sorts before "w1:") and then by the entries in row-major
+    order, which ``h`` already is."""
+    return f"{len(str(max(h)))}:", h
 
 
 def _hnf_stack(a: np.ndarray, bound: int) -> np.ndarray:
@@ -155,19 +162,19 @@ def _hnf_stack(a: np.ndarray, bound: int) -> np.ndarray:
     return a
 
 
-def member_hnfs(members: Sequence[tuple[Point, ...]]) -> list[Matrix]:
+def member_hnfs(members: Sequence[tuple[Point, ...]]) -> list[Entries]:
     """:func:`hnf` of the :func:`generator_matrix` of each of ``members``,
     the vertex tuples of full-dimensional simplices of one n, each with the
-    origin first; brought to HNF by :func:`_hnf_stack` in stacks of at most
-    ``ORBIT_BATCH`` matrices."""
-    hs: list[Matrix] = []
+    origin first, as row-major entry tuples; brought to HNF by
+    :func:`_hnf_stack` in stacks of at most ``ORBIT_BATCH`` matrices."""
+    hs: list[Entries] = []
     for i in range(0, len(members), ORBIT_BATCH):
         # a generator matrix's columns are the vertices after the origin
         ms = [m[1:] for m in members[i : i + ORBIT_BATCH]]
         bound = max(abs(e) for m in ms for v in m for e in v)
         stack = np.array(ms, dtype=object if bound >= _INT64_SAFE else np.int64)
         out = _hnf_stack(stack.transpose(0, 2, 1), bound)
-        hs.extend(tuple(map(tuple, h)) for h in out.tolist())
+        hs.extend(map(tuple, out.reshape(len(ms), -1).tolist()))
     return hs
 
 
@@ -193,41 +200,46 @@ def _distinct(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return first if (rows[first][which] == rows).all() else np.arange(len(rows))
 
 
-def hnf_orbit(ms: Sequence[Matrix]) -> list[set[Matrix]]:
-    """The orbit of each of ``ms``, nonsingular n x n matrices of one n,
-    computed in one batch: the set of distinct HNFs of its column
-    permutations.  This is every plain HNF occurring in the lattice class,
-    which is what makes the orbit table a lookup table.  Each stack holds
-    ``len(ms)`` times ``max(1, ORBIT_BATCH // len(ms))`` column orders: all
-    n! orders of every matrix when they fit, and at most ``ORBIT_BATCH``
-    matrices whenever ``len(ms)`` is at most that."""
-    k, n = len(ms), len(ms[0])
-    bound = max(abs(e) for m in ms for row in m for e in row)
-    base = np.array(ms, dtype=object if bound >= _INT64_SAFE else np.int64)
-    flat: list[set[tuple[int, ...]]] = [set() for _ in ms]
+def hnf_orbit(hs: Sequence[Entries]) -> list[set[Entries]]:
+    """The orbit of each of ``hs``, the row-major entries of nonsingular
+    n x n matrices of one n, computed in one batch: the set of distinct
+    HNFs of its column permutations, as row-major entry tuples.  This is
+    every plain HNF occurring in the lattice class, which is what makes the
+    orbit table a lookup table.  Each stack holds ``len(hs)`` times
+    ``max(1, ORBIT_BATCH // len(hs))`` column orders: all n! orders of
+    every matrix when they fit, and at most ``ORBIT_BATCH`` matrices
+    whenever ``len(hs)`` is at most that."""
+    k, n = len(hs), math.isqrt(len(hs[0]))
+    bound = max(abs(e) for h in hs for e in h)
+    base = np.array(hs, dtype=object if bound >= _INT64_SAFE else np.int64).reshape(k, n, n)
+    orbits: list[set[Entries]] = [set() for _ in hs]
     for orders in _column_orders(n, max(1, ORBIT_BATCH // k)):
-        # stack[i * len(orders) + p] is ms[i] with its columns in order p
+        # stack[i * len(orders) + p] is hs[i] with its columns in order p
         stack = base[:, :, orders].transpose(0, 2, 1, 3).reshape(-1, n, n)
         out = _hnf_stack(stack, bound).reshape(-1, n * n)
         owner = np.repeat(np.arange(k), len(orders))
         keep = _distinct(out, owner)
         for i, h in zip(owner[keep].tolist(), out[keep].tolist()):
-            flat[i].add(tuple(h))
-    return [{tuple(f[i : i + n] for i in range(0, n * n, n)) for f in seen} for seen in flat]
+            orbits[i].add(tuple(h))
+    return orbits
 
 
 # every HNF of each column-permutation orbit seen -> that class's key
-_orbit_keys: dict[Matrix, CanonicalLatticeKey] = {}
+_orbit_keys: dict[Entries, CanonicalLatticeKey] = {}
 
 
-def _key_of_hnf(hs: Sequence[Matrix]) -> list[CanonicalLatticeKey]:
-    """Class key of each plain HNF of ``hs`` (nonsingular, all n x n),
-    through the orbit table.  The table answers the HNFs it holds; the
-    others are resolved in batches of ``ORBIT_BATCH // n!`` orbits (at
-    least one), each keyed by its least member in key text order.  A miss
-    that an earlier orbit of the call resolved is a hit by its turn."""
+def _key_of_hnf(hs: Sequence[Entries]) -> list[CanonicalLatticeKey]:
+    """Class key of each plain HNF of ``hs``, the row-major entries of
+    nonsingular n x n matrices of one n (n is the square root of their
+    length), through the orbit table.  The table answers the HNFs it
+    holds; the others are resolved in batches of ``ORBIT_BATCH // n!``
+    orbits (at least one), each keyed by its least member in key text
+    order, which is nested into a ``Matrix`` only then, once per class.  A
+    miss that an earlier orbit of the call resolved is a hit by its
+    turn."""
     misses = [h for h in dict.fromkeys(hs) if h not in _orbit_keys]
-    per = max(1, ORBIT_BATCH // math.factorial(len(misses[0]))) if misses else 1
+    n = math.isqrt(len(misses[0])) if misses else 1
+    per = max(1, ORBIT_BATCH // math.factorial(n))
     for i in range(0, len(misses), per):
         batch = [h for h in misses[i : i + per] if h not in _orbit_keys]
         if not batch:
@@ -235,38 +247,32 @@ def _key_of_hnf(hs: Sequence[Matrix]) -> list[CanonicalLatticeKey]:
         for h, orbit in zip(batch, hnf_orbit(batch)):
             if h in _orbit_keys:  # its class came first in this batch
                 continue
-            best = min(orbit, key=_text_order)
+            least = min(orbit, key=_text_order)
+            best = tuple(least[r : r + n] for r in range(0, n * n, n))
             key = CanonicalLatticeKey(hnf=best, key_bytes=serialize_matrix(best).encode("ascii"))
             _orbit_keys.update(dict.fromkeys(orbit, key))
     return [_orbit_keys[h] for h in hs]
 
 
-def canonical_key_of_matrix(m: Matrix) -> CanonicalLatticeKey:
-    """Minimal serialized HNF over all column permutations of a nonsingular
-    square generator matrix.  The minimum is taken in the serialized text
-    order, so it is exactly the smallest key that can name this lattice
-    class.  hnf(m) has the orbit of m, as row operations commute with column
-    permutations.  Raises ValueError for an empty, non-square or singular
-    matrix (the last row of hnf(m) is then zero)."""
-    if not m or not m[0]:
-        raise ValueError("empty matrix has no canonical key")
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("canonical key requires a square matrix")
-    h = hnf(m)
-    if not any(h[-1]):
-        raise ValueError("canonical key requires a nonsingular matrix")
-    return _key_of_hnf([h])[0]
-
-
 def canonical_key(delta: SimplicialSet) -> CanonicalLatticeKey:
     """Canonical key of a full-dimensional simplex's lattice, the lattice of
-    :func:`generator_matrix`, anchored at the origin vertex (or, without
-    one, at the lex-least vertex).  Two simplices get equal keys iff their
-    anchored lattices agree up to a coordinate permutation.  So the key is
-    invariant under a unimodular map plus an even translation that sends
-    the anchor to the image's anchor.  A map that anchors another vertex
-    can change it: ``0,0;0,2;4,0`` has key ``2x2w1:2,0;0,4``, and its image
-    ``-2,0;-2,4;0,0`` under (x, y) -> (y - 2, x) has ``2x2w1:2,2;0,4``."""
+    :func:`generator_matrix`: its least serialized HNF over all column
+    permutations, found through the orbit table from :func:`hnf` of the
+    generator matrix (row operations commute with column permutations, so
+    that HNF has the generator's orbit).  The lattice is anchored at the
+    origin vertex (or, without one, at the lex-least vertex).  Two
+    simplices get equal keys iff their anchored lattices agree up to a
+    coordinate permutation.  So the key is invariant under a unimodular map
+    plus an even translation that sends the anchor to the image's anchor.
+    A map that anchors another vertex can change it: ``0,0;0,2;4,0`` has
+    key ``2x2w1:2,0;0,4``, and its image ``-2,0;-2,4;0,0`` under
+    (x, y) -> (y - 2, x) has ``2x2w1:2,2;0,4``.  Raises ValueError for a
+    simplex that is not full-dimensional, or whose generator matrix is
+    singular (the last row of its HNF is then zero), which only the
+    trusting ``SimplicialSet`` constructor lets through."""
     if delta.simplex_dim != delta.ambient_dim:
         raise ValueError("canonical key requires a full-dimensional simplex")
-    return canonical_key_of_matrix(generator_matrix(delta))
+    h = hnf(generator_matrix(delta))
+    if not any(h[-1]):
+        raise ValueError("canonical key requires a nonsingular matrix")
+    return _key_of_hnf([tuple(itertools.chain.from_iterable(h))])[0]

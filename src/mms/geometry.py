@@ -17,12 +17,21 @@ decides membership for simplices of every dimension, in the hull scan and
 in the point test :func:`strictly_interior` alike.
 Scans run in numpy on int64 when a bound shows they cannot overflow;
 otherwise the same formula runs on Python ints in numpy object arrays.
+
+Memory: a set of candidate lattice points (the 1-norm ball or the box of a
+hull scan, and the ball behind ``enumeration.vertex_list``) holds at most
+``SCAN_ENTRIES`` = 2^24 int64 entries, candidate rows times n (128 MiB).
+A larger one is refused with a ValueError that names its size and the
+limit, before anything is allocated.  A hull scan near the limit, of the
+triangle ``0,0;4000,0;0,4000`` (8,006,001 rows, 16,012,002 entries), adds
+about 0.45 GiB of address space to that of an interpreter that has
+imported numpy (Python 3.11, numpy 2.4).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +40,9 @@ Point = tuple[int, ...]
 
 # conservative ceiling for intermediate products in the int64 scan path
 _INT64_SAFE = 2**62
+
+# the most int64 entries (rows times n) one candidate point set may hold
+SCAN_ENTRIES = 1 << 24
 
 
 def parse_point(text: str) -> Point:
@@ -197,6 +209,16 @@ def strictly_interior(delta: SimplicialSet, point: Sequence[int]) -> bool:
     return bool(_hull_mask(delta.points, row, strict=True)[0])
 
 
+def _check_scan(rows: int, n: int) -> None:
+    """ValueError, before anything is allocated, when ``rows`` points of
+    Z^n would hold more than ``SCAN_ENTRIES`` int64 entries."""
+    if rows * n > SCAN_ENTRIES:
+        raise ValueError(
+            f"{rows} candidate lattice points in Z^{n} need {rows * n} int64 entries,"
+            f" past the limit of {SCAN_ENTRIES}"
+        )
+
+
 @lru_cache(maxsize=256)
 def _nonneg_ball(n: int, deg: int) -> np.ndarray:
     """All p in Z^n with p >= 0 and |p|_1 <= deg, lex-sorted, as an int64
@@ -204,6 +226,7 @@ def _nonneg_ball(n: int, deg: int) -> np.ndarray:
     each row is followed by its extensions by 0..(budget left), in order,
     so the rows stay lex-sorted.  Cached: the pipeline hits the same
     (n, deg) pairs over and over."""
+    _check_scan(comb(n + deg, n), n)
     rows = np.zeros((1, 0), dtype=np.int64)
     left = np.array([deg], dtype=np.int64)
     for _ in range(n):
@@ -218,6 +241,7 @@ def _nonneg_ball(n: int, deg: int) -> np.ndarray:
 def _box_grid(mins: Sequence[int], maxs: Sequence[int]) -> np.ndarray:
     """Every integral point of the box [mins, maxs], lex-sorted."""
     shape = [hi - lo + 1 for lo, hi in zip(mins, maxs)]
+    _check_scan(prod(shape), len(shape))
     grid = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
     return grid + np.array(mins, dtype=np.int64)
 

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .engine import mms_removal
-from .geometry import Point, SimplicialSet, strictly_interior
+from .geometry import Point, SimplicialSet, is_even_point, strictly_interior
 
 
 class Sign(str, Enum):
@@ -38,7 +38,7 @@ class HypothesisViolation(ValueError):
 
 
 def parity_of(point: Sequence[int]) -> Parity:
-    return Parity.EVEN if all(c % 2 == 0 for c in point) else Parity.ODD
+    return Parity.EVEN if is_even_point(point) else Parity.ODD
 
 
 @dataclass(frozen=True)

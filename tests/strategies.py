@@ -48,3 +48,9 @@ def mapped(delta, matrix=None, offset=None):
     return SimplicialSet.of(
         [tuple(sum(x * c for x, c in zip(row, p)) + o for row, o in zip(a, b)) for p in delta.points]
     )
+
+
+def row_major(m):
+    """The entries of the nested matrix ``m`` in row-major order, the form
+    the orbit table and the stacked HNFs of ``mms.canon`` use."""
+    return tuple(e for row in m for e in row)

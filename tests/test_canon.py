@@ -1,18 +1,18 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from strategies import _leibniz_det, mapped, small_simplices
+from strategies import _leibniz_det, mapped, row_major, small_simplices
 
 from mms import canon
 from mms.canon import (
     CanonicalLatticeKey,
     _key_of_hnf,
     canonical_key,
-    canonical_key_of_matrix,
     generator_matrix,
     hnf,
     hnf_orbit,
@@ -56,7 +56,7 @@ def test_hnf_goldens(mat, expected):
 
 def test_hnf_orbit_motzkin_collapses():
     # both column orders reduce to the same normal form here
-    assert hnf_orbit([generator_matrix(MOTZKIN)]) == [{((2, 4), (0, 6))}]
+    assert hnf_orbit([row_major(generator_matrix(MOTZKIN))]) == [{(2, 4, 0, 6)}]
 
 
 def orbit_oracle(m):
@@ -65,6 +65,11 @@ def orbit_oracle(m):
         hnf(tuple(tuple(row[p] for p in perm) for row in m))
         for perm in itertools.permutations(range(len(m)))
     }
+
+
+def row_major_orbit(m):
+    """``orbit_oracle(m)`` with each HNF in row-major order."""
+    return set(map(row_major, orbit_oracle(m)))
 
 
 def seeded_matrices(n, count, seed):
@@ -90,7 +95,7 @@ def fresh_table(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_hnf_orbit_equals_the_per_order_oracle_on_seeded_matrices(n):
     ms = seeded_matrices(n, 3 if n < 7 else 1, seed=n)
-    assert hnf_orbit(ms) == [orbit_oracle(m) for m in ms]
+    assert hnf_orbit(list(map(row_major, ms))) == [row_major_orbit(m) for m in ms]
 
 
 @pytest.mark.parametrize("n, classes", [(6, 14), (7, 19)])
@@ -101,18 +106,19 @@ def test_orbit_table_of_every_census_class_equals_the_oracle(fresh_table, n, cla
     assert len(set(keys)) == classes
     for key in set(keys):
         orbit = orbit_oracle(key.hnf)
-        assert {h for h, k in canon._orbit_keys.items() if k == key} == orbit
+        assert {h for h, k in canon._orbit_keys.items() if k == key} == set(map(row_major, orbit))
         assert key.key_text == min(map(serialize_matrix, orbit))
     assert max(fresh_table) <= canon.ORBIT_BATCH
 
 
 def test_hnf_orbit_equals_the_oracle_on_seeded_8x4_samples():
     ms = [hnf(generator_matrix(sample_simplex(8, 4, 3, i))) for i in range(3)]
-    assert hnf_orbit(ms) == [orbit_oracle(m) for m in ms]
+    assert hnf_orbit(list(map(row_major, ms))) == [row_major_orbit(m) for m in ms]
 
 
-# two HNFs of one class: ((2, 0), (2, 6)) with its columns swapped
-TWINS = (((2, 0), (0, 6)), ((6, 0), (0, 2)))
+# two HNFs of one class, ((2, 0), (0, 6)) and ((6, 0), (0, 2)) in row-major
+# order: those of ((2, 0), (2, 6)) and of it with its columns swapped
+TWINS = ((2, 0, 0, 6), (6, 0, 0, 2))
 
 
 def test_one_batch_keys_two_hnfs_of_one_class(fresh_table, monkeypatch):
@@ -143,7 +149,7 @@ def test_every_stack_holds_at_most_orbit_batch_matrices(fresh_table, monkeypatch
     # at limit 5 the 6 column orders of n = 3 run in chunks of 5 and 1
     monkeypatch.setattr(canon, "ORBIT_BATCH", limit)
     hs = [hnf(generator_matrix(sample_simplex(n, 16, 5, i))) for i in range(count)]
-    keys = _key_of_hnf(hs)
+    keys = _key_of_hnf(list(map(row_major, hs)))
     assert fresh_table and max(fresh_table) <= limit
     for h, key in zip(hs, keys):
         assert key.key_text == min(map(serialize_matrix, orbit_oracle(h)))
@@ -159,7 +165,14 @@ def test_object_path_keys_entries_past_int64():
 def test_a_stack_moves_to_python_ints_before_int64_overflows():
     # entries below 2^62, but 5 * 2^61 in the first column step is not
     m = ((1, 2**61), (5, 2**61 + 7))
-    assert hnf_orbit([m]) == [orbit_oracle(m)]
+    assert hnf_orbit([row_major(m)]) == [row_major_orbit(m)]
+
+
+def test_distinct_keeps_every_row_when_two_rows_share_a_weighted_sum():
+    # weights 1000003 and 1000003^2 mod 2^61: both rows sum to their product
+    w1, w2 = 1000003, 1000003**2 % (1 << 61)
+    rows = np.array([[0, w1], [w2, 0]], dtype=np.int64)
+    assert canon._distinct(rows, np.zeros(2, dtype=np.int64)).tolist() == [0, 1]
 
 
 def test_serialize_matrix_format():
@@ -179,21 +192,19 @@ _entries = st.sampled_from([0, 1, 9, 10, 10**8, 10**9 - 1, 10**9, 2 * 10**9])
     )
 )
 def test_orbit_order_is_serialized_text_order(mats):
-    assert sorted(mats, key=_text_order) == sorted(mats, key=serialize_matrix)
+    assert sorted(mats, key=lambda m: _text_order(row_major(m))) == sorted(mats, key=serialize_matrix)
 
 
 def test_orbit_order_puts_width_ten_before_width_one():
     narrow, wide = ((9, 0), (0, 9)), ((10**9, 0), (0, 1))
     assert serialize_matrix(wide) < serialize_matrix(narrow)
-    assert _text_order(wide) < _text_order(narrow)
+    assert _text_order(row_major(wide)) < _text_order(row_major(narrow))
 
 
-@pytest.mark.parametrize(
-    "mat", [((2, 4), (1, 2)), ((0, 0), (0, 0)), ((2, 4, 6), (0, 2, 4)), ((2,), (4,))]
-)
-def test_canonical_key_of_matrix_refuses_singular_or_non_square(mat):
-    with pytest.raises(ValueError, match="canonical key requires"):
-        canonical_key_of_matrix(mat)
+def test_canonical_key_refuses_a_singular_generator_matrix():
+    # collinear vertices, which only the trusting constructor lets through
+    with pytest.raises(ValueError, match="requires a nonsingular matrix"):
+        canonical_key(SimplicialSet(((0, 0), (2, 2), (4, 4))))
 
 
 def test_canonical_key_motzkin():
@@ -300,7 +311,7 @@ def test_canonical_key_is_minimum_over_column_orders(mat):
     for perm in itertools.permutations(range(n)):
         permuted = tuple(tuple(row[p] for p in perm) for row in mat)
         serials.add(serialize_matrix(hnf(permuted)))
-    assert canonical_key_of_matrix(mat).key_text == min(serials)
+    assert _key_of_hnf([row_major(hnf(mat))])[0].key_text == min(serials)
 
 
 @given(small_simplices(full_dim_only=True), st.data())

@@ -10,7 +10,7 @@ import pytest
 
 import mms
 from mms.cli import EXIT_COUNTEREXAMPLE, EXIT_INVALID, EXIT_IO, EXIT_OK, main
-from mms.geometry import SimplicialSet
+from mms.geometry import SCAN_ENTRIES, SimplicialSet
 from mms.pipeline import check_conjecture
 from strategies import _leibniz_det
 
@@ -257,21 +257,44 @@ def test_malformed_json_input_exits_invalid(capsys, tmp_path, argv, content, mes
     assert message in err
 
 
-def test_out_of_memory_exits_with_one_line(monkeypatch):
+def run_mms_under_256_mib(monkeypatch, delta):
+    """``mms mms --delta delta`` in a child whose address space alone is
+    capped at 256 MiB."""
     import resource
 
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
 
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    proc = run_python(
-        "-m", "mms.cli", "mms", "--delta", "0,0;2000000,0;0,2000000",
-        preexec_fn=cap_address_space,
-    )
+    return run_python("-m", "mms.cli", "mms", "--delta", delta, preexec_fn=cap_address_space)
+
+
+def test_out_of_memory_exits_with_one_line(monkeypatch):
+    # 8,006,001 candidate rows, 16,012,002 int64 entries: under the scan
+    # limit, so the scan starts and runs out of memory
+    assert 2 * 8_006_001 <= SCAN_ENTRIES
+    proc = run_mms_under_256_mib(monkeypatch, "0,0;4000,0;0,4000")
     assert proc.returncode == EXIT_INVALID
     assert proc.stdout == ""
     assert proc.stderr.startswith("mms: error: out of memory")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "delta, rows",
+    [
+        ("0,0;2000000,0;0,2000000", 2000003000001),  # the 1-norm ball
+        ("0,0;2,0;0,2000000000000000000000", 3 * 2000000000000000000001),  # the box
+    ],
+)
+def test_an_oversized_scan_is_refused_before_allocating(monkeypatch, delta, rows):
+    proc = run_mms_under_256_mib(monkeypatch, delta)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"mms: error: {rows} candidate lattice points in Z^2 need {2 * rows} int64 entries,"
+        f" past the limit of {SCAN_ENTRIES}\n"
+    )
 
 
 def test_mms_requires_exactly_one_source(capsys, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strategies import row_major
+
 from mms import canon
 from mms.canon import _key_of_hnf, generator_matrix, hnf, member_hnfs
 from mms.enumeration import (
@@ -135,7 +137,7 @@ def test_member_hnfs_are_the_hnfs_of_the_walked_members(monkeypatch, n, two_d):
                 if codes is None:
                     assert (size, greatest) == (1, pts)
         assert walked == sum(1 for _ in enumerate_simplices(n, two_d))
-        expected = [hnf(generator_matrix(SimplicialSet(pts))) for pts in members]
+        expected = [row_major(hnf(generator_matrix(SimplicialSet(pts)))) for pts in members]
         assert member_hnfs(members) == expected
         # stacks of 3 matrices; one of the two lists ends in a partial stack
         monkeypatch.setattr(canon, "ORBIT_BATCH", 3)
@@ -147,7 +149,7 @@ def test_member_hnfs_are_the_hnfs_of_the_walked_members(monkeypatch, n, two_d):
 
 def test_member_hnfs_move_past_the_int64_bound_to_python_ints():
     big = ((0, 0), (0, 2), (2**70, 2))
-    assert member_hnfs([big]) == [hnf(generator_matrix(SimplicialSet(big)))]
+    assert member_hnfs([big]) == [row_major(hnf(generator_matrix(SimplicialSet(big))))]
 
 
 @pytest.mark.parametrize("n, two_d", [(3, 6), (2, 20)])  # 19 rows in one word, 65 in two
@@ -164,6 +166,12 @@ def test_orbit_codes_code_each_row_by_its_permuted_row(n, two_d):
             expected[j // 64] = 1 << (63 - j % 64)
             assert codes[s, i].tolist() == expected
     assert orbit_codes(n, two_d) is codes  # built once per shape
+
+
+def test_vertex_list_refuses_a_ball_past_scan_entries():
+    # C(50003, 3) rows of the radius-50000 ball in N^3, refused unbuilt
+    with pytest.raises(ValueError, match=f"^{math.comb(50003, 3)} candidate lattice points in Z\\^3"):
+        vertex_list(3, 100000)
 
 
 def test_orbit_codes_are_refused_past_their_word_bound():

@@ -293,6 +293,17 @@ def test_nonneg_ball_counts():
         assert ball.tolist() == grid[grid.sum(axis=1) <= deg].tolist()
 
 
+def test_candidate_sets_hold_at_most_scan_entries(monkeypatch):
+    # a set at the limit is built; a larger one is refused before allocating
+    monkeypatch.setattr(geometry, "SCAN_ENTRIES", 12)
+    assert _box_grid([0, 0], [2, 1]).shape == (6, 2)
+    assert _nonneg_ball.__wrapped__(2, 2).shape == (6, 2)
+    with pytest.raises(ValueError, match=r"^7 candidate lattice points in Z\^2 need 14 int64 entries, past the limit of 12$"):
+        _box_grid([0, 0], [6, 0])
+    with pytest.raises(ValueError, match=r"^10 candidate lattice points in Z\^2 need 20 int64"):
+        _nonneg_ball.__wrapped__(2, 3)
+
+
 @given(small_simplices())
 def test_lattice_points_agree_with_brute_force(delta):
     n = delta.ambient_dim

@@ -24,6 +24,7 @@ from mms.pipeline import (
     run_pipeline,
 )
 from mms.store import AUDIT_STRIDE, ShardLine, _by_key, _combined, _read_lines
+from strategies import row_major
 
 
 def read_bytes(path):
@@ -158,7 +159,7 @@ def test_the_plain_walk_fallback_gives_the_orderly_runs_bytes(monkeypatch, tmp_p
 def test_the_tail_writes_one_combined_line_per_class(monkeypatch, tmp_path):
     # a and c share an HNF; b, a with its coordinates swapped, has another
     a, b, c = ((0, 0), (0, 6), (2, 0)), ((0, 0), (0, 2), (6, 0)), ((0, 0), (0, 6), (2, 6))
-    hnfs = [hnf(generator_matrix(SimplicialSet(m))) for m in (a, b, c)]
+    hnfs = [row_major(hnf(generator_matrix(SimplicialSet(m)))) for m in (a, b, c)]
     assert hnfs[0] == hnfs[2] != hnfs[1]
     calls = []
     real = pipeline._key_of_hnf
