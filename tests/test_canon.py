@@ -201,10 +201,15 @@ def test_orbit_order_puts_width_ten_before_width_one():
     assert _text_order(row_major(wide)) < _text_order(row_major(narrow))
 
 
-def test_canonical_key_refuses_a_singular_generator_matrix():
-    # collinear vertices, which only the trusting constructor lets through
+@pytest.mark.parametrize("mat", [((2, 4), (1, 2)), ((0, 0), (0, 0))])
+def test_canonical_key_of_matrix_refuses_singular_or_non_square(mat):
+    # the simplex at (2, 2) whose generator matrix is mat; its vertices are
+    # dependent, which only the trusting constructor lets through
+    base = (2, 2)
+    delta = SimplicialSet((base, *(tuple(b + c for b, c in zip(base, col)) for col in zip(*mat))))
+    assert generator_matrix(delta) == mat
     with pytest.raises(ValueError, match="requires a nonsingular matrix"):
-        canonical_key(SimplicialSet(((0, 0), (2, 2), (4, 4))))
+        canonical_key(delta)
 
 
 def test_canonical_key_motzkin():
