@@ -32,6 +32,16 @@ classification and the h-ratio are functions of them (:func:`classify`,
 :func:`h_ratio`).  :func:`compute_mms` gets all three from one hull scan:
 the scan's row count is #conv, its even rows halved are the kernel's input,
 and #floor has a closed form.
+
+Planar fast path, :func:`boundary_h_counts`: for a triangle with even
+vertices, let B½ be the number of boundary lattice points of the
+half-scaled triangle, the sum of the gcds of its edge vectors.  When
+B½ >= 4 the triangle is H (the rule ``test_acceptance_07`` pins), so
+#MMS = #conv, and #conv is exact by Pick's theorem on the full triangle,
+whose boundary holds 2·B½ lattice points: #conv = |det|/2 + B½ + 1, with
+det the determinant of two full edge vectors.  #floor is 6.  The rule
+applies only in the plane (n = 2); anywhere else, and when B½ < 4, the
+counts come from :func:`compute_mms`.
 """
 from __future__ import annotations
 
@@ -39,7 +49,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Protocol
 
 import numpy as np
@@ -56,6 +66,9 @@ from .geometry import (
 
 # entries per transient block of pair sums
 _BLOCK = 1 << 18
+
+# (#MMS, #conv, #floor) of a class
+Counts = tuple[int, int, int]
 
 
 class Classification(str, Enum):
@@ -260,3 +273,22 @@ def compute_mms(delta: SimplicialSet, method: str = "removal") -> MmsResult:
         conv_count=len(pts),
         floor_count=comb(delta.simplex_dim + 2, 2),
     )
+
+
+def boundary_h_counts(vertices: tuple[Point, ...]) -> Counts | None:
+    """(#MMS, #conv, #floor) of a triangle in Z^2 with even vertices whose
+    half-scaled triangle has B½ >= 4 boundary lattice points, from Pick's
+    theorem (see the module docstring); None when the rule does not apply:
+    n != 2, an odd or degenerate triangle, or B½ < 4.  Integer arithmetic
+    only, no hull scan."""
+    if len(vertices) != 3 or len(vertices[0]) != 2 or any(c % 2 for p in vertices for c in p):
+        return None
+    (x0, y0), (x1, y1), (x2, y2) = vertices
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    det = abs(ax * by - ay * bx)
+    # each full edge vector is twice its halved one, and so is its gcd
+    b_half = (gcd(ax, ay) + gcd(bx, by) + gcd(bx - ax, by - ay)) // 2
+    if det == 0 or b_half < 4:
+        return None
+    conv = det // 2 + b_half + 1
+    return conv, conv, 6

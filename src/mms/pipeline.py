@@ -23,9 +23,10 @@ across shards the same way and streams members to
 class's counts, through the pool's ordered ``imap`` (or ``map`` when
 serial): each merged class's least member once, and every
 ``AUDIT_STRIDE``-th class's greatest member for the audit, so the audits
-run in the pool too.  Only members go to the workers and only counts come
-back.  One pass over the merged store then yields the statistics of both
-scopes.
+run in the pool too.  A planar class that the boundary rule forces H gets
+its counts from Pick's theorem; audits always recompute from scratch.
+Only members go to the workers and only counts come back.  One pass over
+the merged store then yields the statistics of both scopes.
 
 Determinism contract: every shard is a pure function of (parameters, its
 partition or sample-block), never of worker scheduling, and the merge keeps
@@ -57,12 +58,11 @@ from typing import Iterable
 
 from . import __version__
 from .canon import _key_of_hnf, member_hnfs
-from .engine import Classification, compute_mms
+from .engine import Classification, Counts, boundary_h_counts, compute_mms
 from .enumeration import _iter_full_rank_sets, check_shape, orbit_codes, vertex_list
 from .geometry import Point, SimplicialSet
 from .sampler import SamplerConfig, sample_simplex
 from .store import (
-    Counts,
     Shard,
     ShardLine,
     StatsSummary,
@@ -137,16 +137,26 @@ class RunManifest:
         return cls(**payload)
 
 
-def _invariants_for(member: tuple[Point, ...]) -> Counts:
+def _invariants_for(item: tuple[tuple[Point, ...], bool]) -> Counts:
     """Phase 2: the three counts (#MMS, #conv, #floor) of the lattice class
-    of ``member``, a vertex tuple; they are invariants of the class, and a
-    record's classification and h-ratio are derived from them.  The member
-    is not validated again: phase 1 took it from a simplex, the shard
-    reader checked its form (the merge checks an audited member with
+    of the vertex tuple ``member``, for an ``(member, audit)`` item of the
+    merge; they are invariants of the class, and a record's classification
+    and h-ratio are derived from them.  A class member (``audit`` false)
+    takes the planar rule first, :func:`mms.engine.boundary_h_counts`
+    (Pick's count of a triangle that the boundary rule forces H), and runs
+    :func:`compute_mms` only where the rule returns None.  An audit member
+    always runs :func:`compute_mms`, so the audit recomputes from scratch
+    and checks the rule on every audited class it covers.  The member is
+    not validated again: phase 1 took it from a simplex, the shard reader
+    checked its form (the merge checks an audited member with
     ``SimplicialSet.of``), and validation costs about 5% of a 4x16 class's
     MMS."""
-    result = compute_mms(SimplicialSet(member))
-    return result.mms_size, result.conv_count, result.floor_count
+    member, audit = item
+    counts = None if audit else boundary_h_counts(member)
+    if counts is None:
+        result = compute_mms(SimplicialSet(member))
+        counts = result.mms_size, result.conv_count, result.floor_count
+    return counts
 
 
 def _aggregate_to_shard(items: Iterable[tuple], shard_path: str) -> str:

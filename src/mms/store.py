@@ -22,9 +22,10 @@ a ``counts_of`` map (the pipeline's serial ``map`` or its pool's ordered
 ``imap``) and gets back the three counts that are invariants of the class
 (#MMS, #conv, #floor), once per class from its least member, and writes one
 record per class whose representative is that member as simplex text.
-Every AUDIT_STRIDE-th class also has its greatest member mapped, and
+Every AUDIT_STRIDE-th class also has its greatest member mapped as an
+audit member, which the map always computes from scratch, and
 :func:`_audit_record` checks that it gives the same counts, a check of the
-invariance the store relies on.
+invariance the store relies on and of any shortcut the map took.
 
 Simplicial-set statistics are recovered by multiplicity weighting instead of
 storing every simplex.  The classification and h-ratio of a record are
@@ -51,7 +52,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
-from .engine import Classification, HRatio, classify, h_ratio
+from .engine import Classification, Counts, HRatio, classify, h_ratio
 from .geometry import Point, SimplicialSet
 
 HISTOGRAM_BINS = 20
@@ -285,28 +286,28 @@ def _index_offset(line: str) -> int:
     return int(off)
 
 
-Counts = tuple[int, int, int]
-
-
 def merge(
     shard_paths: Iterable[str],
     out_path: str,
-    counts_of: Callable[[Iterable[tuple[Point, ...]]], Iterator[Counts]],
+    counts_of: Callable[[Iterable[tuple[tuple[Point, ...], bool]]], Iterator[Counts]],
 ) -> "Store":
     """K-way merge of sorted shards into one sorted store file plus its
     ``.idx`` sidecar of key offsets.  The lines of each key are combined
     once (see :func:`_combined`), so shard order cannot affect the output.
 
-    ``counts_of`` maps members (vertex tuples) to their counts (#MMS, #conv,
-    #floor), in order: a serial ``map`` or a pool's ordered ``imap``.  The
-    merge feeds it, in key order, the least member of each class, so each
-    class of the run is computed once, here, whatever the number of shards
-    it spans; after every AUDIT_STRIDE-th class it also feeds that class's
-    greatest member, checked by ``SimplicialSet.of``, for the audit.  A
-    FIFO of classes in flight pairs the counts with their classes; a pool
-    reads the members in its task-handler thread, so the FIFO is a
-    thread-safe ``deque``.  A progress line goes to stderr after every
-    PROGRESS_CLASSES-th class.
+    ``counts_of`` maps ``(member, audit)`` pairs, a vertex tuple and
+    whether it is an audit's, to the member's counts (#MMS, #conv, #floor),
+    in order: a serial ``map`` or a pool's ordered ``imap``.  The merge
+    feeds it, in key order, ``(least, False)`` for each class, so each
+    class of the run is counted once, here, whatever the number of shards
+    it spans; after every AUDIT_STRIDE-th class it also feeds
+    ``(greatest, True)``, the greatest member checked by
+    ``SimplicialSet.of``, for the audit.  The pipeline's map counts a class
+    member by the planar rule when it applies and an audit member always
+    from scratch, so the audit also checks the rule.  A FIFO of classes in
+    flight pairs the counts with their classes; a pool reads the members in
+    its task-handler thread, so the FIFO is a thread-safe ``deque``.  A
+    progress line goes to stderr after every PROGRESS_CLASSES-th class.
 
     At most MERGE_FANIN files are open at once: while more paths remain,
     each run of MERGE_FANIN consecutive ones is merged and combined into
@@ -317,13 +318,13 @@ def merge(
     paths = sorted(shard_paths)
     in_flight: deque[tuple[ShardLine, SimplicialSet | None]] = deque()
 
-    def members(lines: Iterable[ShardLine]) -> Iterator[tuple[Point, ...]]:
+    def members(lines: Iterable[ShardLine]) -> Iterator[tuple[tuple[Point, ...], bool]]:
         for count, line in enumerate(lines):
             audit = SimplicialSet.of(line.greatest) if count % AUDIT_STRIDE == 0 else None
             in_flight.append((line, audit))
-            yield line.least
+            yield line.least, False
             if audit is not None:
-                yield audit.points
+                yield audit.points, True
 
     offset = 0
     with (

@@ -794,3 +794,21 @@ def test_planar_survey_script_reports_the_dichotomy_check():
         f"(H {sim.h_count}, M {sim.m_count}, INTERMEDIATE {sim.intermediate_count})",
         f"lattice classes {report.lattices.total_count}",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--deg", "7"], "maximal degree must be an even integer >= 2"),
+        (["--deg", "6", "--workers", "0"], "workers must be at least 1"),
+        (["--deg", "x"], "argument --deg: invalid int value: 'x'"),
+    ],
+    ids=["odd-degree", "no-workers", "not-an-integer"],
+)
+def test_planar_survey_script_refuses_a_bad_argument_in_one_line(argv, message):
+    # exit 3: 1 means a totals mismatch and 2 a counterexample
+    script = Path(__file__).resolve().parents[1] / "scripts" / "planar_dichotomy_survey.py"
+    proc = run_python(str(script), *argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"planar_dichotomy_survey.py: error: {message}\n"

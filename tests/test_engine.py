@@ -11,6 +11,7 @@ from mms.engine import (
     Classification,
     HRatio,
     MmsResult,
+    boundary_h_counts,
     compute_mms,
     floor_set,
     mms_fixed_point,
@@ -217,3 +218,27 @@ def test_classification_matches_counts(delta):
     else:
         assert result.floor_count < result.mms_size < result.conv_count
 
+
+def test_boundary_h_counts_is_picks_count_of_an_h_triangle():
+    # the halved triangle 0,0;2,0;0,2 has 6 boundary points: conv = 8 + 6 + 1
+    result = compute_mms(HURWITZ2)
+    assert result.classification is Classification.H
+    assert boundary_h_counts(HURWITZ2.points) == (15, 15, 6)
+    assert (result.mms_size, result.conv_count, result.floor_count) == (15, 15, 6)
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        MOTZKIN.points,  # halved: 3 boundary points
+        ((0, 0), (4, 0), (8, 0)),  # degenerate
+        ((1, 0), (5, 0), (1, 4)),  # odd vertices, though their edges have gcd 4
+        CHOI_LAM.points,  # n = 3
+        DIM4.points,
+        ((0, 0), (8, 4)),  # a segment in the plane
+        ((0,), (8,)),
+    ],
+    ids=["three", "degenerate", "odd", "n3", "n4", "segment", "n1"],
+)
+def test_boundary_h_counts_declines_outside_the_rule(vertices):
+    assert boundary_h_counts(vertices) is None

@@ -6,14 +6,16 @@ import os
 import resource
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import mms
 from mms import __version__, enumeration, pipeline, store
 from mms.canon import canonical_key, generator_matrix, hnf
-from mms.engine import compute_mms
+from mms.engine import boundary_h_counts, compute_mms
 from mms.enumeration import enumerate_simplices, orbit_codes
 from mms.geometry import SimplicialSet
 from mms.pipeline import (
@@ -23,7 +25,15 @@ from mms.pipeline import (
     replay,
     run_pipeline,
 )
-from mms.store import AUDIT_STRIDE, ShardLine, _by_key, _combined, _read_lines
+from mms.store import (
+    AUDIT_STRIDE,
+    ShardLine,
+    Store,
+    StoreAuditError,
+    _by_key,
+    _combined,
+    _read_lines,
+)
 from strategies import row_major
 
 
@@ -191,20 +201,55 @@ def test_each_task_makes_one_member_hnfs_call_and_one_key_call(
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_class_is_computed_once(monkeypatch, tmp_path, workers):
-    # every compute_mms call, in this process or a pool child, appends a
-    # line; at 2x16 many classes span several partitions
+    # every call of the planar rule and of compute_mms, in this process or
+    # a pool child, appends a line; at 2x16 many classes span several
+    # partitions
     log = tmp_path / "calls.log"
 
-    def logged(delta):
+    def logged(name, fn, arg):
+        result = fn(arg)
         with open(log, "a") as fh:
-            fh.write(f"{delta}\n")
-        return compute_mms(delta)
+            fh.write(f"{name} {result is not None}\n")
+        return result
 
-    monkeypatch.setattr(pipeline, "compute_mms", logged)
+    monkeypatch.setattr(pipeline, "compute_mms", partial(logged, "mms", compute_mms))
+    monkeypatch.setattr(pipeline, "boundary_h_counts", partial(logged, "rule", boundary_h_counts))
     _, lat = run_pipeline(2, 16, "full", workers, str(tmp_path / "run"))
     audits = -(-lat.total_count // AUDIT_STRIDE)
     assert lat.total_count > AUDIT_STRIDE
-    assert len(log.read_text().splitlines()) == lat.total_count + audits
+    calls = Counter(log.read_text().splitlines())
+    hits, misses = calls["rule True"], calls["rule False"]
+    assert hits and misses
+    # each class member tries the rule once, and no audit member does: the
+    # audits are compute_mms calls beyond the rule's misses
+    assert hits + misses == lat.total_count
+    assert calls["mms True"] == misses + audits
+    assert hits + calls["mms True"] == lat.total_count + audits
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_audits_recompute_from_scratch_and_catch_a_wrong_rule(monkeypatch, tmp_path, workers):
+    # a rule that gives every class a million points in H: only an audit
+    # that runs compute_mms can see it
+    monkeypatch.setattr(pipeline, "boundary_h_counts", lambda vertices: (10**6, 10**6, 6))
+    with pytest.raises(StoreAuditError, match="^audit failed for key "):
+        run_pipeline(2, 16, "full", workers, str(tmp_path / "run"))
+
+
+def test_boundary_rule_counts_equal_compute_mms_on_every_deg40_class(tmp_path):
+    # the planar fast path against the full computation, class by class
+    _, lat = run_pipeline(2, 40, "full", 1, str(tmp_path / "run"))
+    covered = 0
+    for rec in Store.open(str(tmp_path / "run" / "merged.jsonl")):
+        delta = SimplicialSet.parse(rec.representative)
+        result = compute_mms(delta)
+        full = (result.mms_size, result.conv_count, result.floor_count)
+        counts = boundary_h_counts(delta.points)
+        if counts is not None:
+            covered += 1
+            assert counts == full, rec.representative
+        assert (rec.mms_size, rec.conv_count, rec.floor_count) == full
+    assert 0 < covered < lat.total_count
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -222,8 +222,9 @@ def test_combine_keeps_least_and_greatest_members():
 
 
 def recording_counts(fed):
-    """A serial ``counts_of`` that appends each member it is fed to ``fed``."""
-    return partial(map, lambda member: fed.append(member) or _invariants_for(member))
+    """A serial ``counts_of`` that appends each ``(member, audit)`` item it
+    is fed to ``fed``."""
+    return partial(map, lambda item: fed.append(item) or _invariants_for(item))
 
 
 def test_merge_audits_each_class_from_its_greatest_member(tmp_path):
@@ -232,7 +233,7 @@ def test_merge_audits_each_class_from_its_greatest_member(tmp_path):
     paths = write_shards(tmp_path, [line_for(MOTZKIN, 2)], [line_for(TWIN, 3)])
     (rec,) = merge(paths, str(tmp_path / "m.jsonl"), recording_counts(computed))
     assert rec.representative == str(TWIN)
-    assert computed == [TWIN.points, MOTZKIN.points]
+    assert computed == [(TWIN.points, False), (MOTZKIN.points, True)]
 
 
 def test_merge_feeds_least_members_in_key_order_and_audits_after_their_least(
@@ -243,7 +244,13 @@ def test_merge_feeds_least_members_in_key_order_and_audits_after_their_least(
     monkeypatch.setattr(store, "AUDIT_STRIDE", 2)
     fed = []
     merge(golden_shard_paths(tmp_path), str(tmp_path / "m.jsonl"), recording_counts(fed))
-    assert fed == [TWIN.points, MOTZKIN.points, HURWITZ.points, DIM4.points, DIM4.points]
+    assert fed == [
+        (TWIN.points, False),
+        (MOTZKIN.points, True),
+        (HURWITZ.points, False),
+        (DIM4.points, False),
+        (DIM4.points, True),
+    ]
 
 
 def test_combine_requires_equal_keys(tmp_path):
